@@ -176,7 +176,10 @@ inline QuantitativeResults RunQuantitative(
     }
     for (const Item* item : items) {
       Item capped = TruncateToPairBudget(*item, config.pair_budget);
-      ItemGraph item_graph = BuildItemGraph(distance, capped, granularity);
+      Result<ItemGraph> built =
+          TryBuildItemGraph(distance, capped, granularity, {});
+      OSRS_CHECK_MSG(built.ok(), built.status().ToString());
+      const ItemGraph& item_graph = *built;
       for (size_t ki = 0; ki < config.k_values.size(); ++ki) {
         int k = std::min(config.k_values[ki],
                          item_graph.graph.num_candidates());

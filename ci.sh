@@ -188,10 +188,12 @@ echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver tests =="
 # against the in-build backend, which degrades to scalar-vs-scalar here —
 # proving the dispatch layer, while the default build above proves
 # scalar-vs-AVX2) and the solver-facing suites must stay green.
+# coverage_diff_test proves the folded item graph solves bit-identically
+# to the unfolded one on the scalar backend too.
 run_suite build-nosimd -DOSRS_SIMD=OFF
 (cd build-nosimd && \
  ctest --output-on-failure -j "$JOBS" \
-       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test')
+       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|coverage_diff_test')
 
 echo "== OSRS_LOGGING=OFF build + logging-adjacent tests =="
 # The structured-logging sites must compile out cleanly: OSRS_LOG shrinks

@@ -108,10 +108,11 @@ ConceptBuckets BucketByConcept(const Ontology& onto,
 /// predicate `|s1 - s2| <= eps` then decides inside the window, keeping
 /// the emitted edge set bit-identical to a full-scan builder. Calls
 /// `emit(u_pair_index, w, weight)` once per covering (pair, target)
-/// combination, with w ascending. Returns the number of edges emitted.
+/// combination, with w ascending; u indexes the pairs `buckets` was built
+/// from, which need not be `targets`. Returns the number of edges emitted.
 template <typename EmitFn>
 size_t ForEachCoveringPairInRange(const PairDistance& distance,
-                                  const std::vector<ConceptSentimentPair>& pairs,
+                                  const std::vector<ConceptSentimentPair>& targets,
                                   const ConceptBuckets& buckets, int w_begin,
                                   int w_end, const EmitFn& emit) {
   const Ontology& onto = distance.ontology();
@@ -130,7 +131,7 @@ size_t ForEachCoveringPairInRange(const PairDistance& distance,
   std::vector<uint64_t> window_mask;  // per-shard scratch, reused across w
   size_t emitted = 0;
   for (int w = w_begin; w < w_end; ++w) {
-    const ConceptSentimentPair& target = pairs[static_cast<size_t>(w)];
+    const ConceptSentimentPair& target = targets[static_cast<size_t>(w)];
     for (const AncestorEntry& ancestor : onto.AncestorsOf(target.concept_id)) {
       int32_t b =
           buckets.bucket_of_concept[static_cast<size_t>(ancestor.concept_id)];
@@ -284,6 +285,14 @@ Status CheckMemoryBudget(const CoverageBuildOptions& options, size_t num_edges,
       options.max_memory_bytes));
 }
 
+/// A weight lane must carry exactly one multiplicity per target.
+Status CheckTargetWeights(const WeightedTargets& targets) {
+  if (targets.weights.size() == targets.pairs.size()) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("target weights have %zu entries for %zu targets",
+                targets.weights.size(), targets.pairs.size()));
+}
+
 }  // namespace
 
 size_t CoverageGraph::EstimateBytes(size_t num_edges, size_t num_candidates,
@@ -299,20 +308,50 @@ size_t CoverageGraph::EstimateBytes(size_t num_edges, size_t num_candidates,
   return bytes;
 }
 
-Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
+template <bool kGrouped>
+Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
-    const CoverageBuildOptions& options, bool weighted) {
+    const std::vector<std::vector<int>>* groups,
+    const std::vector<ConceptSentimentPair>& targets,
+    const std::vector<double>* target_weights,
+    const CoverageBuildOptions& options) {
   obs::TraceSpan build_span(obs::Phase::kBuildCoverageGraph);
+  // Map each pair index to its owning group (a pair belongs to at most one
+  // sentence / review). The identity grouping needs no map: pair u is
+  // candidate u.
+  std::vector<int> group_of;
+  if constexpr (kGrouped) {
+    group_of.assign(pairs.size(), -1);
+    for (size_t g = 0; g < groups->size(); ++g) {
+      for (int pair_index : (*groups)[g]) {
+        OSRS_DCHECK_GE(pair_index, 0);
+        OSRS_DCHECK_LT(static_cast<size_t>(pair_index), pairs.size());
+        OSRS_DCHECK_MSG(group_of[static_cast<size_t>(pair_index)] == -1,
+                        "pair " << pair_index << " assigned to two groups");
+        group_of[static_cast<size_t>(pair_index)] = static_cast<int>(g);
+      }
+    }
+  }
+
   const ConceptBuckets buckets = BucketByConcept(distance.ontology(), pairs);
-  const int num_targets = static_cast<int>(pairs.size());
-  const int num_candidates = num_targets;
-  const int num_shards = ResolveNumThreads(options.num_threads, pairs.size());
+  const int num_targets = static_cast<int>(targets.size());
+  const int num_candidates =
+      static_cast<int>(kGrouped ? groups->size() : pairs.size());
+  const int num_shards = ResolveNumThreads(options.num_threads, targets.size());
+  // Per-shard group scratch; empty for the identity grouping.
+  const size_t group_scratch = kGrouped ? groups->size() : 0;
 
   // Counting pass: the full closure/window enumeration with degrees as the
   // only output. Nothing is materialized, so the pass reads only the hot
   // bucket arrays. Per-target backward degrees are shared but race-free —
-  // each target belongs to exactly one shard.
+  // each target belongs to exactly one shard. Grouped, pair-level emits
+  // aggregate to group level: one group may reach the same target through
+  // several member pairs, and last_target dedupes those without a hash
+  // map — every emit for target w happens before any emit for w + 1
+  // within a shard, and each target is wholly owned by one shard, so the
+  // group's previous target is all the state dedupe needs. (A pair
+  // reaches a target at most once: it sits in exactly one concept bucket.)
   std::vector<std::vector<size_t>> shard_degree(
       static_cast<size_t>(num_shards));
   std::vector<size_t> backward_degree(static_cast<size_t>(num_targets), 0);
@@ -320,10 +359,18 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
       num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
         std::vector<size_t>& degree = shard_degree[static_cast<size_t>(shard)];
         degree.assign(static_cast<size_t>(num_candidates), 0);
+        std::vector<int> last_target(group_scratch, -1);
         return ForEachCoveringPairInRange(
-            distance, pairs, buckets, w_begin, w_end,
+            distance, targets, buckets, w_begin, w_end,
             [&](int u, int w, double /*weight*/) {
-              ++degree[static_cast<size_t>(u)];
+              int c = u;
+              if constexpr (kGrouped) {
+                c = group_of[static_cast<size_t>(u)];
+                if (c < 0) return;  // pair not part of any candidate group
+                if (last_target[static_cast<size_t>(c)] == w) return;
+                last_target[static_cast<size_t>(c)] = w;
+              }
+              ++degree[static_cast<size_t>(c)];
               ++backward_degree[static_cast<size_t>(w)];
             });
       });
@@ -331,7 +378,7 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
   OSRS_RETURN_IF_ERROR(CheckMemoryBudget(
       options, TotalCountedEdges(shard_degree),
       static_cast<size_t>(num_candidates), static_cast<size_t>(num_targets),
-      weighted));
+      target_weights != nullptr));
 
   // Scatter pass: re-run the same enumeration, writing every edge straight
   // into both final CSR slots. Forward rows fill through per-(shard,
@@ -339,35 +386,60 @@ Result<CoverageGraph> CoverageGraph::BuildForPairsImpl(
   // targets, so rows come out sorted with no intermediate buffers and no
   // sort. Backward rows fill through one sequential per-shard cursor:
   // target w's coverers are emitted consecutively and targets ascend, so
-  // the backward CSR needs no transpose pass at all.
+  // the backward CSR needs no transpose pass at all. A repeat (group,
+  // target) emit min-merges its weight into the forward and backward slots
+  // recorded by last_findex/last_bindex instead of consuming new ones,
+  // keeping Definition 2's minimum over member pairs in both CSR copies.
   CoverageGraph graph;
-  graph.root_distance_ = RootDistances(distance, pairs);
+  graph.root_distance_ = RootDistances(distance, targets);
   graph.root_distance_f32_.assign(graph.root_distance_.begin(),
                                   graph.root_distance_.end());
+  if (target_weights != nullptr) graph.target_weights_ = *target_weights;
   graph.PrepareForwardScatter(num_candidates, shard_degree);
   graph.PrepareBackwardFill(num_targets, backward_degree);
-  RunSharded(num_targets, num_shards,
-             [&](int shard, int w_begin, int w_end) {
-               std::vector<size_t>& cursor =
-                   shard_degree[static_cast<size_t>(shard)];
-               size_t backward_cursor =
-                   graph.backward_offsets_[static_cast<size_t>(w_begin)];
-               size_t shard_emitted = ForEachCoveringPairInRange(
-                   distance, pairs, buckets, w_begin, w_end,
-                   [&](int u, int w, double weight) {
-                     const float fw = static_cast<float>(weight);
-                     const size_t fslot = cursor[static_cast<size_t>(u)]++;
-                     graph.forward_endpoint_[fslot] = w;
-                     graph.forward_distance_[fslot] = fw;
-                     graph.backward_endpoint_[backward_cursor] = u;
-                     graph.backward_distance_[backward_cursor] = fw;
-                     ++backward_cursor;
-                   });
-               OSRS_DCHECK_EQ(
-                   backward_cursor,
-                   graph.backward_offsets_[static_cast<size_t>(w_end)]);
-               return shard_emitted;
-             });
+  RunSharded(
+      num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
+        std::vector<size_t>& cursor =
+            shard_degree[static_cast<size_t>(shard)];
+        size_t backward_cursor =
+            graph.backward_offsets_[static_cast<size_t>(w_begin)];
+        std::vector<int> last_target(group_scratch, -1);
+        std::vector<size_t> last_findex(group_scratch, 0);
+        std::vector<size_t> last_bindex(group_scratch, 0);
+        size_t shard_emitted = ForEachCoveringPairInRange(
+            distance, targets, buckets, w_begin, w_end,
+            [&](int u, int w, double weight) {
+              const float fw = static_cast<float>(weight);
+              int c = u;
+              if constexpr (kGrouped) {
+                c = group_of[static_cast<size_t>(u)];
+                if (c < 0) return;
+                if (last_target[static_cast<size_t>(c)] == w) {
+                  float& forward_distance = graph.forward_distance_
+                      [last_findex[static_cast<size_t>(c)]];
+                  if (fw < forward_distance) {
+                    forward_distance = fw;
+                    graph.backward_distance_
+                        [last_bindex[static_cast<size_t>(c)]] = fw;
+                  }
+                  return;
+                }
+                last_target[static_cast<size_t>(c)] = w;
+                last_findex[static_cast<size_t>(c)] =
+                    cursor[static_cast<size_t>(c)];
+                last_bindex[static_cast<size_t>(c)] = backward_cursor;
+              }
+              const size_t fslot = cursor[static_cast<size_t>(c)]++;
+              graph.forward_endpoint_[fslot] = w;
+              graph.forward_distance_[fslot] = fw;
+              graph.backward_endpoint_[backward_cursor] = c;
+              graph.backward_distance_[backward_cursor] = fw;
+              ++backward_cursor;
+            });
+        OSRS_DCHECK_EQ(backward_cursor,
+                       graph.backward_offsets_[static_cast<size_t>(w_end)]);
+        return shard_emitted;
+      });
   obs::TraceStat(obs::Stat::kGraphEdgesBuilt,
                  static_cast<int64_t>(graph.num_edges()));
   return graph;
@@ -380,17 +452,22 @@ CoverageGraph CoverageGraph::BuildForPairs(
   options.num_threads = num_threads;
   // No memory limit and no failpoint on the legacy path, so the impl
   // cannot fail.
-  auto graph = BuildForPairsImpl(distance, pairs, options, /*weighted=*/false);
+  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr, pairs,
+                                         nullptr, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
 }
 
-Result<CoverageGraph> CoverageGraph::TryBuildForPairs(
+CoverageGraph CoverageGraph::BuildForGroups(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
-    const CoverageBuildOptions& options) {
-  OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
-  return BuildForPairsImpl(distance, pairs, options, /*weighted=*/false);
+    const std::vector<std::vector<int>>& groups, int num_threads) {
+  CoverageBuildOptions options;
+  options.num_threads = num_threads;
+  auto graph = BuildForGroupsImpl<true>(distance, pairs, &groups, pairs,
+                                        nullptr, options);
+  OSRS_CHECK(graph.ok());
+  return std::move(graph).value();
 }
 
 CoverageGraph CoverageGraph::BuildForPairsWeighted(
@@ -398,31 +475,39 @@ CoverageGraph CoverageGraph::BuildForPairsWeighted(
     const std::vector<ConceptSentimentPair>& pairs,
     const std::vector<double>& target_weights, int num_threads) {
   OSRS_CHECK_EQ(target_weights.size(), pairs.size());
-  CoverageGraph graph = BuildForPairs(distance, pairs, num_threads);
-  graph.target_weights_ = target_weights;
-  return graph;
+  CoverageBuildOptions options;
+  options.num_threads = num_threads;
+  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr, pairs,
+                                         &target_weights, options);
+  OSRS_CHECK(graph.ok());
+  return std::move(graph).value();
 }
 
 Result<CoverageGraph> CoverageGraph::TryBuildForPairsWeighted(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<double>& target_weights,
-    const CoverageBuildOptions& options) {
+    const WeightedTargets& targets, const CoverageBuildOptions& options) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
-  if (target_weights.size() != pairs.size()) {
-    return Status::InvalidArgument(
-        StrFormat("target_weights has %zu entries for %zu pairs",
-                  target_weights.size(), pairs.size()));
-  }
-  auto graph = BuildForPairsImpl(distance, pairs, options, /*weighted=*/true);
-  OSRS_RETURN_IF_ERROR(graph.status());
-  graph->target_weights_ = target_weights;
-  return graph;
+  OSRS_RETURN_IF_ERROR(CheckTargetWeights(targets));
+  return BuildForGroupsImpl<false>(distance, pairs, nullptr, targets.pairs,
+                                   &targets.weights, options);
+}
+
+Result<CoverageGraph> CoverageGraph::TryBuildForGroupsWeighted(
+    const PairDistance& distance,
+    const std::vector<ConceptSentimentPair>& pairs,
+    const std::vector<std::vector<int>>& groups,
+    const WeightedTargets& targets, const CoverageBuildOptions& options) {
+  OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
+  OSRS_RETURN_IF_ERROR(CheckTargetWeights(targets));
+  return BuildForGroupsImpl<true>(distance, pairs, &groups, targets.pairs,
+                                  &targets.weights, options);
 }
 
 namespace {
 
-/// Key of a DedupePairs bucket: a concept plus a quantized sentiment.
+/// Key of a DedupePairs bucket: a concept plus a quantized sentiment (or,
+/// for FoldTargets, the sentiment's bits).
 struct DedupeKey {
   ConceptId concept_id;
   int64_t sentiment_bucket;
@@ -447,6 +532,14 @@ struct DedupeKeyHash {
     return static_cast<size_t>(h);
   }
 };
+
+/// FoldTargets' key: the concept plus the sentiment's bit pattern with -0.0
+/// read as +0.0, so exactly the pairs with identical distance rows share a
+/// key.
+DedupeKey FoldKey(const ConceptSentimentPair& pair) {
+  const double sentiment = pair.sentiment == 0.0 ? 0.0 : pair.sentiment;
+  return {pair.concept_id, std::bit_cast<int64_t>(sentiment)};
+}
 
 }  // namespace
 
@@ -484,136 +577,36 @@ DedupedPairs DedupePairs(const std::vector<ConceptSentimentPair>& pairs,
   return out;
 }
 
-Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
-    const PairDistance& distance,
-    const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<std::vector<int>>& groups,
-    const CoverageBuildOptions& options) {
-  obs::TraceSpan build_span(obs::Phase::kBuildCoverageGraph);
-  // Map each pair index to its owning group (a pair belongs to exactly one
-  // sentence / review).
-  std::vector<int> group_of(pairs.size(), -1);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (int pair_index : groups[g]) {
-      OSRS_DCHECK_GE(pair_index, 0);
-      OSRS_DCHECK_LT(static_cast<size_t>(pair_index), pairs.size());
-      OSRS_DCHECK_MSG(group_of[static_cast<size_t>(pair_index)] == -1,
-                      "pair " << pair_index << " assigned to two groups");
-      group_of[static_cast<size_t>(pair_index)] = static_cast<int>(g);
+WeightedTargets FoldTargets(const std::vector<ConceptSentimentPair>& pairs) {
+  WeightedTargets out;
+  out.pairs.reserve(pairs.size());
+  out.weights.reserve(pairs.size());
+  // Open-addressing table of target indices (-1 = empty), at most half
+  // full, probed linearly; targets are assigned in first-occurrence order.
+  // Every solve runs this, so it avoids DedupePairs' node-based
+  // unordered_map: on the 300-item doctor corpus (sentences, eps 0.5,
+  // fastest of 15 runs, AVX2 Xeon) the map took 20.7 us per item, a fifth
+  // of the 102 us unfolded build, against 2.8 us here.
+  const size_t capacity =
+      std::bit_ceil(std::max<size_t>(2 * pairs.size(), 16));
+  const size_t mask = capacity - 1;
+  std::vector<int32_t> slots(capacity, -1);
+  for (const ConceptSentimentPair& pair : pairs) {
+    const DedupeKey key = FoldKey(pair);
+    size_t slot = DedupeKeyHash{}(key) & mask;
+    while (slots[slot] >= 0 &&
+           !(FoldKey(out.pairs[static_cast<size_t>(slots[slot])]) == key)) {
+      slot = (slot + 1) & mask;
+    }
+    if (slots[slot] >= 0) {
+      out.weights[static_cast<size_t>(slots[slot])] += 1.0;
+    } else {
+      slots[slot] = static_cast<int32_t>(out.pairs.size());
+      out.pairs.push_back(pair);
+      out.weights.push_back(1.0);
     }
   }
-
-  const ConceptBuckets buckets = BucketByConcept(distance.ontology(), pairs);
-  const int num_targets = static_cast<int>(pairs.size());
-  const int num_candidates = static_cast<int>(groups.size());
-  const int num_shards = ResolveNumThreads(options.num_threads, pairs.size());
-
-  // Counting pass. Pair-level emits aggregate to group level: one group
-  // may reach the same target through several member pairs, and
-  // last_target dedupes those without a hash map — every emit for target w
-  // happens before any emit for w + 1 within a shard, and each target is
-  // wholly owned by one shard, so the group's previous target is all the
-  // state dedupe needs.
-  std::vector<std::vector<size_t>> shard_degree(
-      static_cast<size_t>(num_shards));
-  std::vector<size_t> backward_degree(static_cast<size_t>(num_targets), 0);
-  std::vector<size_t> emitted = RunSharded(
-      num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
-        std::vector<size_t>& degree = shard_degree[static_cast<size_t>(shard)];
-        degree.assign(static_cast<size_t>(num_candidates), 0);
-        std::vector<int> last_target(groups.size(), -1);
-        return ForEachCoveringPairInRange(
-            distance, pairs, buckets, w_begin, w_end,
-            [&](int u, int w, double /*weight*/) {
-              int g = group_of[static_cast<size_t>(u)];
-              if (g < 0) return;  // pair not part of any candidate group
-              if (last_target[static_cast<size_t>(g)] == w) return;
-              last_target[static_cast<size_t>(g)] = w;
-              ++degree[static_cast<size_t>(g)];
-              ++backward_degree[static_cast<size_t>(w)];
-            });
-      });
-  RecordBuildTelemetry(emitted);
-  OSRS_RETURN_IF_ERROR(CheckMemoryBudget(
-      options, TotalCountedEdges(shard_degree),
-      static_cast<size_t>(num_candidates), static_cast<size_t>(num_targets),
-      /*weighted=*/false));
-
-  // Scatter pass: identical enumeration; a repeat (group, target) emit
-  // min-merges its weight into the forward and backward slots recorded by
-  // last_findex/last_bindex instead of consuming new ones, keeping
-  // Definition 2's minimum over member pairs in both CSR copies.
-  CoverageGraph graph;
-  graph.root_distance_ = RootDistances(distance, pairs);
-  graph.root_distance_f32_.assign(graph.root_distance_.begin(),
-                                  graph.root_distance_.end());
-  graph.PrepareForwardScatter(num_candidates, shard_degree);
-  graph.PrepareBackwardFill(num_targets, backward_degree);
-  RunSharded(
-      num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
-        std::vector<size_t>& cursor =
-            shard_degree[static_cast<size_t>(shard)];
-        size_t backward_cursor =
-            graph.backward_offsets_[static_cast<size_t>(w_begin)];
-        std::vector<int> last_target(groups.size(), -1);
-        std::vector<size_t> last_findex(groups.size(), 0);
-        std::vector<size_t> last_bindex(groups.size(), 0);
-        size_t shard_emitted = ForEachCoveringPairInRange(
-            distance, pairs, buckets, w_begin, w_end,
-            [&](int u, int w, double weight) {
-              int g = group_of[static_cast<size_t>(u)];
-              if (g < 0) return;
-              const float fw = static_cast<float>(weight);
-              if (last_target[static_cast<size_t>(g)] == w) {
-                float& forward_distance =
-                    graph.forward_distance_[last_findex[static_cast<size_t>(g)]];
-                if (fw < forward_distance) {
-                  forward_distance = fw;
-                  graph.backward_distance_[last_bindex[static_cast<size_t>(g)]] =
-                      fw;
-                }
-              } else {
-                last_target[static_cast<size_t>(g)] = w;
-                const size_t fslot = cursor[static_cast<size_t>(g)];
-                last_findex[static_cast<size_t>(g)] = fslot;
-                last_bindex[static_cast<size_t>(g)] = backward_cursor;
-                graph.forward_endpoint_[fslot] = w;
-                graph.forward_distance_[fslot] = fw;
-                ++cursor[static_cast<size_t>(g)];
-                graph.backward_endpoint_[backward_cursor] = g;
-                graph.backward_distance_[backward_cursor] = fw;
-                ++backward_cursor;
-              }
-            });
-        OSRS_DCHECK_EQ(backward_cursor,
-                       graph.backward_offsets_[static_cast<size_t>(w_end)]);
-        return shard_emitted;
-      });
-  obs::TraceStat(obs::Stat::kGraphEdgesBuilt,
-                 static_cast<int64_t>(graph.num_edges()));
-  return graph;
-}
-
-CoverageGraph CoverageGraph::BuildForGroups(
-    const PairDistance& distance,
-    const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<std::vector<int>>& groups, int num_threads) {
-  CoverageBuildOptions options;
-  options.num_threads = num_threads;
-  // No memory limit and no failpoint on the legacy path, so the impl
-  // cannot fail.
-  auto graph = BuildForGroupsImpl(distance, pairs, groups, options);
-  OSRS_CHECK(graph.ok());
-  return std::move(graph).value();
-}
-
-Result<CoverageGraph> CoverageGraph::TryBuildForGroups(
-    const PairDistance& distance,
-    const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<std::vector<int>>& groups,
-    const CoverageBuildOptions& options) {
-  OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
-  return BuildForGroupsImpl(distance, pairs, groups, options);
+  return out;
 }
 
 void CoverageGraph::PrepareForwardScatter(

@@ -27,14 +27,23 @@ struct CoverageBuildOptions {
   size_t max_memory_bytes = 0;
 };
 
+/// Coverage targets with a multiplicity each: target w stands for
+/// `weights[w]` identical members of the pair multiset P.
+struct WeightedTargets {
+  std::vector<ConceptSentimentPair> pairs;
+  std::vector<double> weights;
+};
+
 /// The edge-weighted bipartite graph G = (U, W, E) of §4.1.
 ///
-/// W is always the item's concept-sentiment pair multiset P (the coverage
-/// targets). U is the candidate set: the pairs themselves for k-Pairs
-/// Coverage, or sentences/reviews — groups of pair indices — for the §4.5
-/// variants. An edge (u, w) with weight d(u, w) exists iff candidate u
-/// covers target w at finite Definition 1 distance; for a group candidate
-/// the weight is the minimum over its member pairs.
+/// W is the item's concept-sentiment pair multiset P (the coverage
+/// targets) — one target per pair, or, from the *Weighted builders, one
+/// weighted target per distinct pair (FoldTargets). U is the candidate
+/// set: the pairs themselves for k-Pairs Coverage, or sentences/reviews —
+/// groups of pair indices — for the §4.5 variants. An edge (u, w) with
+/// weight d(u, w) exists iff candidate u covers target w at finite
+/// Definition 1 distance; for a group candidate the weight is the minimum
+/// over its member pairs.
 ///
 /// Storage is CSR in both directions: the greedy algorithm walks forward
 /// edges (candidate → targets) when applying a selection and backward edges
@@ -178,28 +187,30 @@ class CoverageGraph {
       const std::vector<ConceptSentimentPair>& pairs,
       const std::vector<double>& target_weights, int num_threads = 1);
 
-  /// Fallible variants of the three builders. Same construction, same
-  /// bit-identical output, but resource failures surface as Status instead
-  /// of crashing: a build whose counting pass predicts more than
-  /// `options.max_memory_bytes` of graph storage returns kResourceExhausted
-  /// before allocating, and the "osrs.coverage.alloc" failpoint
-  /// (src/fault/failpoint.h) is evaluated on entry — only here, so callers
-  /// of the legacy value-returning builders are never affected by an armed
-  /// failpoint. Prefer these on any path with a RetryPolicy above it.
-  static Result<CoverageGraph> TryBuildForPairs(
-      const PairDistance& distance,
-      const std::vector<ConceptSentimentPair>& pairs,
-      const CoverageBuildOptions& options);
-  static Result<CoverageGraph> TryBuildForGroups(
-      const PairDistance& distance,
-      const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<std::vector<int>>& groups,
-      const CoverageBuildOptions& options);
+  /// Fallible builders whose target side W is `targets`, given apart from
+  /// the candidate pairs: U is `pairs` (ForPairs) or `groups` of indices
+  /// into `pairs` (ForGroups), and target w contributes
+  /// targets.weights[w] · d(F, w) to the cost. With FoldTargets(pairs)
+  /// this is the exact, smaller form of BuildForPairs/BuildForGroups (same
+  /// candidates, same costs); with targets = {pairs, weights} the ForPairs
+  /// variant is BuildForPairsWeighted. Resource failures surface as Status
+  /// instead of crashing: a build whose counting pass predicts more than
+  /// `options.max_memory_bytes` of graph storage (weight lane included)
+  /// returns kResourceExhausted before allocating, and the
+  /// "osrs.coverage.alloc" failpoint (src/fault/failpoint.h) is evaluated
+  /// on entry — only here, so callers of the legacy value-returning
+  /// builders are never affected by an armed failpoint. A weight count
+  /// that differs from the target count is kInvalidArgument. Prefer these
+  /// on any path with a RetryPolicy above it.
   static Result<CoverageGraph> TryBuildForPairsWeighted(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<double>& target_weights,
-      const CoverageBuildOptions& options);
+      const WeightedTargets& targets, const CoverageBuildOptions& options);
+  static Result<CoverageGraph> TryBuildForGroupsWeighted(
+      const PairDistance& distance,
+      const std::vector<ConceptSentimentPair>& pairs,
+      const std::vector<std::vector<int>>& groups,
+      const WeightedTargets& targets, const CoverageBuildOptions& options);
 
   /// Bytes of heap storage this graph's vectors occupy (capacity-exact for
   /// a freshly built graph). The same formula the TryBuild* memory gate
@@ -267,18 +278,21 @@ class CoverageGraph {
   CoverageGraph() = default;
 
  private:
-  /// Shared implementations behind the legacy Build* (infallible, no limit)
-  /// and TryBuild* (memory-gated) entry points. The gate runs between the
+  /// The one enumeration-and-scatter implementation behind every builder,
+  /// legacy Build* (infallible, no limit) and TryBuild* (memory-gated)
+  /// alike. Candidates are `groups` over `pairs`, or — the identity
+  /// grouping (kGrouped false, `groups` null) — the pairs themselves, with
+  /// no singleton groups materialized; targets are `targets`, weighted by
+  /// `target_weights` unless that is null. The gate runs between the
   /// counting and scatter passes, where the exact edge total is known but
   /// nothing has been allocated yet.
-  static Result<CoverageGraph> BuildForPairsImpl(
-      const PairDistance& distance,
-      const std::vector<ConceptSentimentPair>& pairs,
-      const CoverageBuildOptions& options, bool weighted);
+  template <bool kGrouped>
   static Result<CoverageGraph> BuildForGroupsImpl(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<std::vector<int>>& groups,
+      const std::vector<std::vector<int>>* groups,
+      const std::vector<ConceptSentimentPair>& targets,
+      const std::vector<double>* target_weights,
       const CoverageBuildOptions& options);
 
   /// Turns the per-(shard, candidate) forward degree counts of the builders'
@@ -317,6 +331,16 @@ class CoverageGraph {
   AlignedVector<float> root_distance_f32_;  // same values, kernel lane
   std::vector<double> target_weights_;      // empty = all ones
 };
+
+/// Folds the pair multiset P into weighted targets: every set of pairs with
+/// the same concept and bit-identical sentiment (-0.0 read as +0.0, so
+/// exactly ConceptSentimentPair::operator==, except that copies of one NaN
+/// fold too) becomes one target whose weight is its multiplicity, in
+/// first-occurrence order. Unlike DedupePairs this never moves a
+/// sentiment, so a graph over the folded targets has exactly the costs of
+/// the graph over P: folded pairs have identical edges, and every weight
+/// and distance is an integer, so each weighted sum is exact.
+WeightedTargets FoldTargets(const std::vector<ConceptSentimentPair>& pairs);
 
 /// Collapses duplicate pairs: pairs with the same concept whose sentiments
 /// fall in the same quantization bucket of width `sentiment_quantum` merge

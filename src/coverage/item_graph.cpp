@@ -7,7 +7,8 @@ namespace osrs {
 namespace {
 
 /// Fills everything but `graph`: occurrences, and for sentence/review
-/// granularity the candidate groups. Returns the item's pairs (the W side).
+/// granularity the candidate groups. Returns the item's pairs (the multiset
+/// the W side folds).
 /// CollectPairs emits pairs in reading order, so each group is a
 /// contiguous run of consecutive occurrences.
 std::vector<ConceptSentimentPair> PrepareItemGraph(
@@ -42,20 +43,6 @@ std::vector<ConceptSentimentPair> PrepareItemGraph(
 
 }  // namespace
 
-ItemGraph BuildItemGraph(const PairDistance& distance, const Item& item,
-                         SummaryGranularity granularity, int num_threads) {
-  ItemGraph out;
-  std::vector<ConceptSentimentPair> pairs =
-      PrepareItemGraph(item, granularity, out);
-  if (granularity == SummaryGranularity::kPairs) {
-    out.graph = CoverageGraph::BuildForPairs(distance, pairs, num_threads);
-  } else {
-    out.graph =
-        CoverageGraph::BuildForGroups(distance, pairs, out.groups, num_threads);
-  }
-  return out;
-}
-
 Result<ItemGraph> TryBuildItemGraph(const PairDistance& distance,
                                     const Item& item,
                                     SummaryGranularity granularity,
@@ -63,11 +50,14 @@ Result<ItemGraph> TryBuildItemGraph(const PairDistance& distance,
   ItemGraph out;
   std::vector<ConceptSentimentPair> pairs =
       PrepareItemGraph(item, granularity, out);
+  const WeightedTargets targets = FoldTargets(pairs);
   Result<CoverageGraph> graph =
       granularity == SummaryGranularity::kPairs
-          ? CoverageGraph::TryBuildForPairs(distance, pairs, options)
-          : CoverageGraph::TryBuildForGroups(distance, pairs, out.groups,
-                                             options);
+          ? CoverageGraph::TryBuildForPairsWeighted(distance, pairs, targets,
+                                                    options)
+          : CoverageGraph::TryBuildForGroupsWeighted(distance, pairs,
+                                                     out.groups, targets,
+                                                     options);
   OSRS_RETURN_IF_ERROR(graph.status());
   out.graph = std::move(graph).value();
   return out;

@@ -15,7 +15,8 @@ namespace osrs {
 /// sentences or reviews.
 struct ItemGraph {
   SummaryGranularity granularity = SummaryGranularity::kPairs;
-  /// The item's pairs in reading order (the W side of the graph).
+  /// The item's pairs in reading order. The graph's W side is these pairs
+  /// folded into weighted targets (see TryBuildItemGraph).
   std::vector<PairOccurrence> occurrences;
   /// For sentence/review granularity: member pair indices per candidate.
   /// Empty for pair granularity (candidates are the pairs themselves).
@@ -29,15 +30,21 @@ struct ItemGraph {
 /// Builds the §4.1/§4.5 graph for `item`. Sentences/reviews without any
 /// concept-sentiment pair are not candidates (they can never cover
 /// anything), matching the candidate sets the paper's solvers see.
-/// `num_threads` is forwarded to the CoverageGraph builders (1 = serial,
-/// 0 = hardware concurrency); the graph is identical at every count.
-ItemGraph BuildItemGraph(const PairDistance& distance, const Item& item,
-                         SummaryGranularity granularity, int num_threads = 1);
-
-/// Fallible BuildItemGraph: forwards `options` to the CoverageGraph
-/// TryBuild* constructors, so an over-budget graph surfaces as
-/// kResourceExhausted (and the "osrs.coverage.alloc" failpoint applies).
-/// Same output as BuildItemGraph when it succeeds.
+///
+/// The target side is folded (FoldTargets): pairs with equal concept and
+/// equal sentiment share one target weighted by their multiplicity, in
+/// first-occurrence order. Candidates, `groups`, `group_origin` and
+/// `occurrences` are exactly those of the unfolded graph, and every
+/// selection costs the same in both, so greedy and local search pick the
+/// same selection bit for bit; exact solvers may break ties between
+/// equal-cost optima differently. `graph.num_edges()` counts the folded
+/// edges.
+///
+/// `options` go to the CoverageGraph TryBuild*Weighted constructors, so an
+/// over-budget graph surfaces as kResourceExhausted (and the
+/// "osrs.coverage.alloc" failpoint applies); `num_threads` shards the
+/// build (1 = serial, 0 = hardware concurrency) with an identical graph at
+/// every count.
 Result<ItemGraph> TryBuildItemGraph(const PairDistance& distance,
                                     const Item& item,
                                     SummaryGranularity granularity,

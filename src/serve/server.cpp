@@ -103,6 +103,10 @@ std::string ServerCounters::ToJson() const {
 struct SummaryServer::Flight {
   std::string coalesce_key;
   CacheKey cache_key;
+  /// The item version current at cache_key.epoch (read with the epoch in
+  /// one items_mutex_ section). The solve uses it, not the map entry, so
+  /// an UpdateItem that lands while the flight queues cannot leak in.
+  std::shared_ptr<const Item> item;
   ExecutionBudget budget;
   Stopwatch queued;  // reset at enqueue; read at dequeue for queue_ms
   /// Guarded by the owning SummaryServer's mutex_ until map removal, then
@@ -275,11 +279,14 @@ uint64_t SummaryServer::BumpEpoch() {
 void SummaryServer::UpdateItem(Item item) {
   MutexLock mutation_lock(mutation_mutex_);
   auto snapshot = std::make_shared<const Item>(std::move(item));
+  uint64_t next = 0;
   {
+    // Swap and bump under one lock, so no reader pairs the new version
+    // with the old epoch (or the reverse).
     MutexLock lock(items_mutex_);
     items_[snapshot->id] = snapshot;
+    next = epoch_.Bump();
   }
-  uint64_t next = epoch_.Bump();
   {
     MutexLock lock(counters_mutex_);
     ++counters_.epoch_bumps;
@@ -388,11 +395,15 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         StrFormat("k must be >= 0, got %d", request.k)));
   }
 
+  // UpdateItem swaps and bumps under this lock, so `item` is exactly the
+  // version at `epoch_now`.
   std::shared_ptr<const Item> item;
+  uint64_t epoch_now = 0;
   {
     MutexLock lock(items_mutex_);
     auto it = items_.find(request.item_id);
     if (it != items_.end()) item = it->second;
+    epoch_now = epoch_.value();
   }
   if (item == nullptr) {
     return reject(Status::NotFound(
@@ -405,7 +416,6 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
   ExecutionBudget budget;
   if (deadline_ms > 0.0) budget.SetDeadlineMs(deadline_ms);
 
-  uint64_t epoch_now = epoch_.value();
   CacheKey key{request.item_id, epoch_now, options_fingerprint_, request.k};
 
   // Exact cache read. A cache failpoint injection means the cache is
@@ -501,6 +511,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
       flight = std::make_shared<Flight>();
       flight->coalesce_key = coalesce_key;
       flight->cache_key = std::move(key);
+      flight->item = item;
       flight->budget = budget;
       flight->queued.Reset();
       // Hand the trace to the worker with the flight (the root span stays
@@ -647,22 +658,6 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
     return;
   }
 
-  std::shared_ptr<const Item> item;
-  {
-    MutexLock lock(items_mutex_);
-    auto it = items_.find(flight->cache_key.item_id);
-    if (it != items_.end()) item = it->second;
-  }
-  if (item == nullptr) {
-    // UpdateItem cannot remove items today, but keep the invariant local:
-    // a flight must never dereference a null item.
-    response.status = Status::NotFound(StrFormat(
-        "item '%s' disappeared", flight->cache_key.item_id.c_str()));
-    response.outcome = ServeOutcome::kFailed;
-    CompleteFlight(flight, std::move(response));
-    return;
-  }
-
   InflightGauge()->Increment();
   // Publish progress for the watchdog: bump the generation, then the
   // start time (the watchdog reads them in the opposite order, so a torn
@@ -679,7 +674,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
   Stopwatch solve_watch;
   size_t solve_span = flight->trace.BeginSpan(obs::RequestSpanKind::kSolve);
   Result<ItemSummary> solved =
-      GuardedSolve(*item, flight->cache_key.k, budget);
+      GuardedSolve(*flight->item, flight->cache_key.k, budget);
   flight->trace.EndSpan(solve_span);
   worker_state.solve_start_ns.store(-1, std::memory_order_release);
   double solve_ms = solve_watch.ElapsedMillis();

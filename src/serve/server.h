@@ -209,8 +209,11 @@ class SummaryServer {
 
   /// Replaces (or adds) one item and bumps the epoch — the minimal
   /// "reviews arrived" mutation the future incremental engine will do
-  /// in-place. With persistence on, the mutation is journaled (committed
-  /// per the fsync policy) before this returns.
+  /// in-place. Swap and bump are one step to readers: a request sees the
+  /// old item at the old epoch or the new item at the new one, and solves
+  /// the version it saw even if this lands while it queues. With
+  /// persistence on, the mutation is journaled (committed per the fsync
+  /// policy) before this returns.
   void UpdateItem(Item item)
       OSRS_EXCLUDES(mutation_mutex_, items_mutex_, counters_mutex_);
 

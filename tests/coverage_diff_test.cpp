@@ -5,18 +5,34 @@
 // from a fresh upward BFS per query, its edges from an O(|U|·|W|) scan).
 // Every comparison runs at 1, 2 and 8 threads and demands identical
 // graphs — same edges, same weights, same CSR order.
+//
+// The item-graph tests then check the folded production graph
+// (TryBuildItemGraph: equal pairs share one weighted target) against the
+// unfolded raw builders: the same graph up to the fold, and the same
+// answers from every solver.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "coverage/coverage_graph.h"
+#include "coverage/item_graph.h"
+#include "lp/simplex.h"
 #include "ontology/ontology.h"
+#include "solver/greedy.h"
+#include "solver/ilp_summarizer.h"
+#include "solver/kmedian_model.h"
+#include "solver/local_search.h"
+#include "solver/randomized_rounding.h"
 
 namespace osrs {
 namespace {
@@ -204,7 +220,7 @@ std::vector<ConceptSentimentPair> RandomPairs(Rng& rng, const Ontology& onto,
 }
 
 /// Partitions pair indices into random contiguous groups of size 1..4 (the
-/// shape BuildItemGraph produces: contiguous runs in reading order).
+/// shape TryBuildItemGraph produces: contiguous runs in reading order).
 std::vector<std::vector<int>> RandomGroups(Rng& rng, size_t num_pairs) {
   std::vector<std::vector<int>> groups;
   size_t i = 0;
@@ -408,6 +424,321 @@ TEST(CoverageDiffTest, ThreadCountsProduceIdenticalGraphs) {
         CoverageGraph::BuildForPairs(dist, pairs, threads)
             .CostOfSelection(selection));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Folded item graphs vs the unfolded raw builders.
+
+/// Forces a kernel backend for the enclosing scope; on hosts or builds
+/// without AVX2 a kAvx2 request degrades to scalar.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(simd::Backend backend) {
+    simd::ForceBackend(backend);
+  }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+  ~ScopedBackend() { simd::ResetBackendOverride(); }
+};
+
+/// A random item whose sentiments sit on the coarse grid {-1, -0.75, ...,
+/// 1} plus -0.0 (next to the grid's +0.0), over a handful of concepts, so
+/// exact duplicates are common; with eps a multiple of 1/4 the |Δs| == eps
+/// boundary of Definition 1 occurs exactly. Some sentences carry no pair
+/// (they are not candidates).
+Item RandomGridItem(Rng& rng, const Ontology& onto) {
+  Item item;
+  item.id = "grid";
+  const int num_reviews = 1 + static_cast<int>(rng.NextUint64(7));
+  for (int r = 0; r < num_reviews; ++r) {
+    Review review;
+    const int num_sentences = 1 + static_cast<int>(rng.NextUint64(4));
+    for (int s = 0; s < num_sentences; ++s) {
+      Sentence sentence;
+      sentence.text = "r" + std::to_string(r) + "s" + std::to_string(s);
+      const int num_pairs = static_cast<int>(rng.NextUint64(4));
+      for (int p = 0; p < num_pairs; ++p) {
+        ConceptId concept_id =
+            static_cast<ConceptId>(rng.NextUint64(onto.num_concepts()));
+        uint64_t step = rng.NextUint64(10);
+        double sentiment =
+            step == 9 ? -0.0 : -1.0 + 0.25 * static_cast<double>(step);
+        sentence.pairs.push_back({concept_id, sentiment});
+      }
+      review.sentences.push_back(std::move(sentence));
+    }
+    item.reviews.push_back(std::move(review));
+  }
+  return item;
+}
+
+/// The reference fold, by definition: pair w joins the target of the first
+/// earlier pair equal to it under operator==, else opens a new target.
+/// Returns the target index of every pair.
+std::vector<int> NaiveFold(const std::vector<ConceptSentimentPair>& pairs,
+                           std::vector<double>* weights) {
+  std::vector<int> target_of(pairs.size(), -1);
+  weights->clear();
+  for (size_t w = 0; w < pairs.size(); ++w) {
+    for (size_t earlier = 0; earlier < w; ++earlier) {
+      if (pairs[earlier] == pairs[w]) {
+        target_of[w] = target_of[earlier];
+        break;
+      }
+    }
+    if (target_of[w] < 0) {
+      target_of[w] = static_cast<int>(weights->size());
+      weights->push_back(0.0);
+    }
+    (*weights)[static_cast<size_t>(target_of[w])] += 1.0;
+  }
+  return target_of;
+}
+
+/// The folded graph must be the raw graph with equal targets merged: same
+/// candidates, target weights equal to the reference fold's multiplicities
+/// (summing to the pair count), equal root distances, and every raw edge
+/// (u, w, d) present as (u, fold(w), d) — with each candidate's folded row
+/// weighing exactly its raw degree, so nothing else is there.
+void ExpectFoldOf(const CoverageGraph& raw,
+                  const std::vector<ConceptSentimentPair>& pairs,
+                  const CoverageGraph& folded) {
+  std::vector<double> weights;
+  const std::vector<int> target_of = NaiveFold(pairs, &weights);
+  ASSERT_EQ(folded.num_candidates(), raw.num_candidates());
+  ASSERT_EQ(folded.num_targets(), static_cast<int>(weights.size()));
+  double weight_sum = 0.0;
+  for (int t = 0; t < folded.num_targets(); ++t) {
+    EXPECT_EQ(folded.target_weight(t), weights[static_cast<size_t>(t)]);
+    weight_sum += folded.target_weight(t);
+  }
+  EXPECT_EQ(weight_sum, static_cast<double>(pairs.size()));
+  for (int w = 0; w < raw.num_targets(); ++w) {
+    EXPECT_EQ(folded.root_distance(target_of[static_cast<size_t>(w)]),
+              raw.root_distance(w));
+  }
+  constexpr float kAbsent = -1.0f;
+  std::vector<float> folded_distance(weights.size(), kAbsent);
+  for (int u = 0; u < raw.num_candidates(); ++u) {
+    double folded_degree = 0.0;
+    for (const auto& e : folded.EdgesOf(u)) {
+      folded_distance[static_cast<size_t>(e.endpoint)] = e.weight;
+      folded_degree += folded.target_weight(e.endpoint);
+    }
+    for (const auto& e : raw.EdgesOf(u)) {
+      const int t = target_of[static_cast<size_t>(e.endpoint)];
+      EXPECT_EQ(folded_distance[static_cast<size_t>(t)], e.weight)
+          << "candidate " << u << " raw target " << e.endpoint;
+    }
+    EXPECT_EQ(folded_degree, static_cast<double>(raw.EdgesOf(u).size()))
+        << "candidate " << u;
+    for (const auto& e : folded.EdgesOf(u)) {
+      folded_distance[static_cast<size_t>(e.endpoint)] = kAbsent;
+    }
+  }
+  EXPECT_EQ(folded.EmptySummaryCost(), raw.EmptySummaryCost());
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// Optimum of the §4.2 LP relaxation of the k-median model over `graph`.
+double RelaxationOptimum(const CoverageGraph& graph, int k) {
+  KMedianModel model = BuildKMedianModel(graph, k, /*integral_x=*/false);
+  LpSolution lp = RevisedSimplex().Solve(model.problem, nullptr);
+  EXPECT_EQ(lp.status, LpStatus::kOptimal);
+  return lp.objective;
+}
+
+/// Greedy (eager and lazy) and local search must return bit-identical
+/// selections and costs on the folded and the raw graph, on both kernel
+/// backends; ILP must return equal costs. RR samples its selection from
+/// whichever optimal vertex of the LP relaxation the simplex returns, and
+/// the fold keeps the relaxation's optimum but not necessarily that vertex:
+/// RR shares the bound (equal LP optimum) and stays no cheaper than ILP on
+/// either graph, but its draw may differ.
+void ExpectSameSolves(const CoverageGraph& folded, const CoverageGraph& raw,
+                      int k) {
+  GreedySummarizer eager;
+  GreedySummarizer lazy(GreedyOptions{GreedyOptions::Heap::kLazy});
+  LocalSearchSummarizer local_search;
+  const std::pair<const char*, Summarizer*> exact_solvers[] = {
+      {"greedy", &eager}, {"greedy-lazy", &lazy},
+      {"local-search", &local_search}};
+  for (simd::Backend backend : {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+    ScopedBackend scoped(backend);
+    for (const auto& [name, solver] : exact_solvers) {
+      SCOPED_TRACE(std::string(name) + " on " + simd::BackendName(backend));
+      auto on_folded = solver->Summarize(folded, k);
+      auto on_raw = solver->Summarize(raw, k);
+      ASSERT_TRUE(on_folded.ok()) << on_folded.status().ToString();
+      ASSERT_TRUE(on_raw.ok()) << on_raw.status().ToString();
+      EXPECT_EQ(on_folded->selected, on_raw->selected);
+      EXPECT_EQ(Bits(on_folded->cost), Bits(on_raw->cost))
+          << on_folded->cost << " vs " << on_raw->cost;
+    }
+  }
+  auto ilp_folded = IlpSummarizer().Summarize(folded, k);
+  auto ilp_raw = IlpSummarizer().Summarize(raw, k);
+  ASSERT_TRUE(ilp_folded.ok()) << ilp_folded.status().ToString();
+  ASSERT_TRUE(ilp_raw.ok()) << ilp_raw.status().ToString();
+  EXPECT_EQ(ilp_folded->cost, ilp_raw->cost);
+
+  const double relaxed = RelaxationOptimum(raw, k);
+  EXPECT_NEAR(RelaxationOptimum(folded, k), relaxed,
+              1e-7 * std::max(1.0, std::abs(relaxed)));
+  auto rr_folded = RandomizedRoundingSummarizer().Summarize(folded, k);
+  auto rr_raw = RandomizedRoundingSummarizer().Summarize(raw, k);
+  ASSERT_TRUE(rr_folded.ok()) << rr_folded.status().ToString();
+  ASSERT_TRUE(rr_raw.ok()) << rr_raw.status().ToString();
+  EXPECT_GE(rr_folded->cost, ilp_folded->cost);
+  EXPECT_GE(rr_raw->cost, ilp_raw->cost);
+  EXPECT_EQ(rr_folded->cost, folded.CostOfSelection(rr_folded->selected));
+  EXPECT_EQ(rr_folded->cost, raw.CostOfSelection(rr_folded->selected));
+}
+
+TEST(CoverageDiffTest, FoldTargetsMergesEqualPairsInFirstOccurrenceOrder) {
+  const ConceptId a = 1, b = 2;
+  WeightedTargets folded = FoldTargets(
+      {{a, 0.0}, {b, 0.25}, {a, -0.0}, {a, 0.25}, {b, 0.25}, {a, 0.0},
+       {b, -0.25}});
+  // +0.0 == -0.0 fold together (the first occurrence's sign is kept).
+  ASSERT_EQ(folded.pairs.size(), 4u);
+  EXPECT_EQ(folded.pairs[0], (ConceptSentimentPair{a, 0.0}));
+  EXPECT_FALSE(std::signbit(folded.pairs[0].sentiment));
+  EXPECT_EQ(folded.pairs[1], (ConceptSentimentPair{b, 0.25}));
+  EXPECT_EQ(folded.pairs[2], (ConceptSentimentPair{a, 0.25}));
+  EXPECT_EQ(folded.pairs[3], (ConceptSentimentPair{b, -0.25}));
+  EXPECT_EQ(folded.weights, (std::vector<double>{3.0, 2.0, 1.0, 1.0}));
+  EXPECT_TRUE(FoldTargets({}).pairs.empty());
+}
+
+TEST(CoverageDiffTest, FoldedItemGraphMatchesUnfoldedRandomized) {
+  Rng rng(20261017);
+  const double eps_grid[] = {0.25, 0.5};
+  const SummaryGranularity granularities[] = {SummaryGranularity::kPairs,
+                                              SummaryGranularity::kSentences,
+                                              SummaryGranularity::kReviews};
+  size_t total_pairs = 0, total_targets = 0;
+  for (int round = 0; round < 12; ++round) {
+    const int num_concepts = 2 + static_cast<int>(rng.NextUint64(10));
+    Ontology onto = RandomOntology(rng, num_concepts, 0.2);
+    const Item item = RandomGridItem(rng, onto);
+    const double eps = eps_grid[rng.NextUint64(2)];
+    PairDistance dist(&onto, eps);
+    const std::vector<ConceptSentimentPair> pairs =
+        PairsOf(CollectPairs(item));
+    for (SummaryGranularity granularity : granularities) {
+      std::vector<RefEdge> serial_edges;
+      for (int threads : kThreadCounts) {
+        SCOPED_TRACE("round " + std::to_string(round) + " " +
+                     SummaryGranularityToString(granularity) + " threads " +
+                     std::to_string(threads));
+        CoverageBuildOptions options;
+        options.num_threads = threads;
+        Result<ItemGraph> built =
+            TryBuildItemGraph(dist, item, granularity, options);
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        const CoverageGraph& folded = built->graph;
+        ASSERT_EQ(PairsOf(built->occurrences), pairs);
+        const CoverageGraph raw =
+            granularity == SummaryGranularity::kPairs
+                ? CoverageGraph::BuildForPairs(dist, pairs, threads)
+                : CoverageGraph::BuildForGroups(dist, pairs, built->groups,
+                                                threads);
+        ExpectFoldOf(raw, pairs, folded);
+        if (threads == 1) {
+          serial_edges = GraphEdges(folded);
+          total_pairs += pairs.size();
+          total_targets += static_cast<size_t>(folded.num_targets());
+        } else {
+          ExpectEdgesEqual(serial_edges, folded, "folded vs serial");
+        }
+        const int k = std::min(1 + static_cast<int>(rng.NextUint64(5)),
+                               folded.num_candidates());
+        ExpectSameSolves(folded, raw, k);
+      }
+    }
+  }
+  // The grid must actually produce duplicates, or the fold went untested.
+  EXPECT_LT(total_targets, total_pairs);
+}
+
+TEST(CoverageDiffTest, FoldedMemoryGateCountsFoldedEdges) {
+  // One hot concept mentioned over and over at two sentiments: the raw
+  // graph is quadratic in the mentions, the folded one has two targets.
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId a = onto.AddConcept("a");
+  ASSERT_TRUE(onto.AddEdge(root, a).ok());
+  ASSERT_TRUE(onto.Finalize().ok());
+  PairDistance dist(&onto, 0.25);
+  Item item;
+  item.id = "hot";
+  for (int r = 0; r < 40; ++r) {
+    Review review;
+    review.sentences.push_back({"good", {{a, 0.5}}});
+    review.sentences.push_back({"fine", {{a, 0.25}, {a, 0.5}}});
+    item.reviews.push_back(std::move(review));
+  }
+  for (SummaryGranularity granularity :
+       {SummaryGranularity::kPairs, SummaryGranularity::kSentences}) {
+    SCOPED_TRACE(SummaryGranularityToString(granularity));
+    Result<ItemGraph> unlimited =
+        TryBuildItemGraph(dist, item, granularity, {});
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+    const CoverageGraph& folded = unlimited->graph;
+    ASSERT_EQ(folded.num_targets(), 2);
+    const size_t needed = CoverageGraph::EstimateBytes(
+        folded.num_edges(), static_cast<size_t>(folded.num_candidates()),
+        static_cast<size_t>(folded.num_targets()), /*weighted=*/true);
+    const std::vector<ConceptSentimentPair> pairs =
+        PairsOf(unlimited->occurrences);
+    const CoverageGraph raw =
+        granularity == SummaryGranularity::kPairs
+            ? CoverageGraph::BuildForPairs(dist, pairs)
+            : CoverageGraph::BuildForGroups(dist, pairs, unlimited->groups);
+    ASSERT_LT(needed,
+              CoverageGraph::EstimateBytes(
+                  raw.num_edges(), static_cast<size_t>(raw.num_candidates()),
+                  static_cast<size_t>(raw.num_targets()), false));
+
+    // The gate prices exactly the folded graph it is about to build.
+    CoverageBuildOptions options;
+    options.max_memory_bytes = needed;
+    Result<ItemGraph> at_budget =
+        TryBuildItemGraph(dist, item, granularity, options);
+    ASSERT_TRUE(at_budget.ok()) << at_budget.status().ToString();
+    ExpectEdgesEqual(GraphEdges(folded), at_budget->graph, "at budget");
+    options.max_memory_bytes = needed - 1;
+    Result<ItemGraph> over_budget =
+        TryBuildItemGraph(dist, item, granularity, options);
+    ASSERT_FALSE(over_budget.ok());
+    EXPECT_EQ(over_budget.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(over_budget.status().message().find(
+                  std::to_string(folded.num_edges()) + " edges"),
+              std::string::npos)
+        << over_budget.status().ToString();
+  }
+}
+
+TEST(CoverageDiffTest, WeightedBuildersRejectMismatchedWeights) {
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId a = onto.AddConcept("a");
+  ASSERT_TRUE(onto.AddEdge(root, a).ok());
+  ASSERT_TRUE(onto.Finalize().ok());
+  PairDistance dist(&onto, 0.5);
+  const std::vector<ConceptSentimentPair> pairs{{a, 0.5}, {a, 0.5}};
+  const WeightedTargets targets{{{a, 0.5}}, {1.0, 1.0}};
+  EXPECT_EQ(CoverageGraph::TryBuildForPairsWeighted(dist, pairs, targets, {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CoverageGraph::TryBuildForGroupsWeighted(dist, pairs, {{0, 1}},
+                                                     targets, {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

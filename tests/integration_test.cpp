@@ -57,7 +57,10 @@ TEST_F(QuantitativeShape, Figure5CostOrderingHolds) {
         SummaryGranularity::kReviews}) {
     for (const Item& item : corpus_->items) {
       Item capped = TruncateToPairBudget(item, 150);
-      ItemGraph graph = BuildItemGraph(distance, capped, granularity);
+      Result<ItemGraph> built =
+          TryBuildItemGraph(distance, capped, granularity, {});
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const ItemGraph& graph = *built;
       int effective_k = std::min(k, graph.graph.num_candidates());
       auto ilp = IlpSummarizer().Summarize(graph.graph, effective_k);
       auto rr = RandomizedRoundingSummarizer().Summarize(graph.graph,
@@ -85,8 +88,10 @@ TEST_F(QuantitativeShape, Figure5CostOrderingHolds) {
 TEST_F(QuantitativeShape, Figure4GreedyIsFastest) {
   PairDistance distance(&corpus_->ontology, 0.5);
   Item capped = TruncateToPairBudget(corpus_->items[0], 150);
-  ItemGraph graph =
-      BuildItemGraph(distance, capped, SummaryGranularity::kPairs);
+  Result<ItemGraph> built =
+      TryBuildItemGraph(distance, capped, SummaryGranularity::kPairs, {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ItemGraph& graph = *built;
   auto ilp = IlpSummarizer().Summarize(graph.graph, 5);
   auto greedy = GreedySummarizer().Summarize(graph.graph, 5);
   ASSERT_TRUE(ilp.ok());
@@ -97,8 +102,10 @@ TEST_F(QuantitativeShape, Figure4GreedyIsFastest) {
 TEST_F(QuantitativeShape, CostDecreasesInK) {
   PairDistance distance(&corpus_->ontology, 0.5);
   Item capped = TruncateToPairBudget(corpus_->items[1], 150);
-  ItemGraph graph =
-      BuildItemGraph(distance, capped, SummaryGranularity::kSentences);
+  Result<ItemGraph> built =
+      TryBuildItemGraph(distance, capped, SummaryGranularity::kSentences, {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ItemGraph& graph = *built;
   GreedySummarizer greedy;
   double previous = graph.graph.EmptySummaryCost();
   for (int k = 1; k <= std::min(10, graph.graph.num_candidates()); ++k) {

@@ -7,6 +7,7 @@
 
 #include <sys/stat.h>
 
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -343,6 +344,55 @@ TEST_F(ServeTest, ConcurrentRequestsForOneItemCoalesceIntoOneSolve) {
   EXPECT_EQ(counters.coalesced, kClients - 1);
   EXPECT_EQ(counters.completed, kClients);
   EXPECT_EQ(counters.submitted, counters.admitted + counters.rejected);
+}
+
+TEST_F(ServeTest, QueuedReadSolvesTheVersionCurrentAtItsEpoch) {
+  // One worker, held for 250 ms by the first solve. A second read with a
+  // different k (so it cannot coalesce) queues behind it, and an
+  // UpdateItem lands while it waits. The queued read is labelled with the
+  // epoch it was admitted at, so it must carry that epoch's version of the
+  // item, not the one swapped in while it queued.
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.serve.solve=delay(250):once")
+                  .ok());
+  ServeOptions options;
+  options.num_threads = 1;
+  SummaryServer server(&onto_, Items(1), options);
+  const Item admitted_version = MakeItem(onto_, "item0");
+  const Item updated_version = MakeItem(onto_, "item0", 0.5);
+  const uint64_t admitted_epoch = server.epoch();
+
+  std::thread busy([&server] {
+    ServeRequest request;
+    request.item_id = "item0";
+    request.k = 1;
+    EXPECT_TRUE(server.Serve(request).status.ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ServeResponse queued_response;
+  std::thread queued([&server, &queued_response] {
+    ServeRequest request;
+    request.item_id = "item0";
+    request.k = 2;
+    queued_response = server.Serve(request);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.UpdateItem(updated_version);
+  queued.join();
+  busy.join();
+
+  ASSERT_TRUE(queued_response.status.ok())
+      << queued_response.status.ToString();
+  EXPECT_EQ(queued_response.outcome, ServeOutcome::kSolved);
+  EXPECT_EQ(queued_response.epoch, admitted_epoch);
+  EXPECT_EQ(server.epoch(), admitted_epoch + 1);
+  ReviewSummarizer direct(&onto_, options.summarizer);
+  Result<ItemSummary> expected = direct.Summarize(admitted_version, 2);
+  Result<ItemSummary> newer = direct.Summarize(updated_version, 2);
+  ASSERT_TRUE(expected.ok() && newer.ok());
+  ASSERT_NE(Fingerprint(*expected), Fingerprint(*newer))
+      << "the two versions must be distinguishable";
+  EXPECT_EQ(Fingerprint(queued_response.summary), Fingerprint(*expected));
 }
 
 // ------------------------------------------------- admission + shedding ----
