@@ -38,7 +38,7 @@ namespace osrs::bench {
 /// enables the metrics registry and installs a trace on the main thread;
 /// its destructor prints the per-phase breakdown and the registry to
 /// stderr (the paper-style tables on stdout stay clean). Without --stats
-/// — or with -DOSRS_OBS=OFF, which it reports — it does nothing.
+/// it does nothing.
 class StatsSession {
  public:
   StatsSession(int argc, char** argv) {
@@ -52,11 +52,6 @@ class StatsSession {
   ~StatsSession() {
     if (!enabled_) return;
     scope_.reset();
-    if (!obs::kCompiledIn) {
-      std::fprintf(stderr,
-                   "--stats: telemetry compiled out (-DOSRS_OBS=OFF)\n");
-      return;
-    }
     obs::SolverStats stats = obs::SolverStats::FromTrace(trace_);
     std::fprintf(stderr, "--- solver phase breakdown (--stats) ---\n%s",
                  stats.ToText("  ").c_str());

@@ -10,11 +10,9 @@
 # (store-site fault schedule, a kill -9 mid-journal, then a clean restart
 # that must recover the committed prefix), an OSRS_SIMD=OFF build
 # running the solver bit-identity diff plus the tier-1 solver tests on the
-# scalar fallback, OSRS_OBS=OFF, OSRS_LOGGING=OFF, and OSRS_FAILPOINTS=OFF
-# builds proving the telemetry, logging, and fault layers compile out, the
-# full suite (chaos included)
-# under ASan+UBSan, and a TSan pass over the multi-threaded
-# BatchSummarizer, serving-layer, sync-primitive, and chaos tests.
+# scalar fallback, the full suite (chaos included) under ASan+UBSan, and a
+# TSan pass over the multi-threaded BatchSummarizer, serving-layer,
+# sync-primitive, and chaos tests.
 # Usage: ./ci.sh [--skip-sanitizers] [--skip-lint] [--skip-clang]
 set -euo pipefail
 
@@ -194,37 +192,6 @@ run_suite build-nosimd -DOSRS_SIMD=OFF
 (cd build-nosimd && \
  ctest --output-on-failure -j "$JOBS" \
        -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|coverage_diff_test')
-
-echo "== OSRS_LOGGING=OFF build + logging-adjacent tests =="
-# The structured-logging sites must compile out cleanly: OSRS_LOG shrinks
-# to a dead branch (arguments stay type-checked) and every adopting layer
-# still builds and passes.
-run_suite build-nolog -DOSRS_LOGGING=OFF
-(cd build-nolog && \
- ctest --output-on-failure -j "$JOBS" -R 'common_test|serve_test|api_test')
-
-echo "== OSRS_OBS=OFF build + telemetry-adjacent tests =="
-# The telemetry layer must compile out cleanly: spans shrink to empty
-# objects and every instrumented call site still builds and passes.
-run_suite build-noobs -DOSRS_OBS=OFF
-(cd build-noobs && \
- ctest --output-on-failure -j "$JOBS" -R 'obs_test|solver_test|api_test')
-
-echo "== OSRS_FAILPOINTS=OFF build + fault-adjacent tests =="
-# The fault layer must compile out: every OSRS_FAILPOINT site becomes a
-# constant Status::OK() and the retry/isolation machinery still builds and
-# passes. chaos_test itself needs live injection, so the batch-facing
-# suites stand in; the bench proves zero site evaluations end to end.
-run_suite build-nofp -DOSRS_FAILPOINTS=OFF
-(cd build-nofp && \
- ctest --output-on-failure -j "$JOBS" \
-       -R 'api_test|budget_test|corpus_io_test|solver_test')
-./build-nofp/bench/bench_retry_overhead --smoke \
-    --out=build-nofp/BENCH_retry_off.json
-if ! grep -q '"compiled_in":false' build-nofp/BENCH_retry_off.json; then
-  echo "ci.sh: OSRS_FAILPOINTS=OFF build still reports compiled_in" >&2
-  exit 1
-fi
 
 if [[ "$SKIP_SANITIZERS" == "1" ]]; then
   echo "== sanitizer passes skipped =="

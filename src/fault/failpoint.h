@@ -30,16 +30,6 @@
 //
 // where `code` is a lower-snake-case StatusCode name ("unavailable",
 // "internal", "resource_exhausted", ...). The default trigger is 'always'.
-//
-// The cmake option OSRS_FAILPOINTS (default ON, mirroring OSRS_OBS)
-// defines OSRS_FAILPOINTS_ENABLED; with -DOSRS_FAILPOINTS=OFF the
-// OSRS_FAILPOINT site macro compiles to Status::OK() — a constant the
-// optimizer deletes — so production builds can strip the subsystem
-// entirely (bench/bench_retry_overhead measures both configurations).
-
-#ifndef OSRS_FAILPOINTS_ENABLED
-#define OSRS_FAILPOINTS_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -55,9 +45,6 @@
 #include "common/sync.h"
 
 namespace osrs::fault {
-
-/// False when the tree was configured with -DOSRS_FAILPOINTS=OFF.
-inline constexpr bool kCompiledIn = OSRS_FAILPOINTS_ENABLED != 0;
 
 /// What an armed failpoint does when its trigger fires.
 enum class FailAction {
@@ -198,8 +185,7 @@ class FailpointRegistry {
 // The site macro: a Status-yielding expression, OK unless the named
 // failpoint is armed and fires. Sites that can return Status wrap it in
 // OSRS_RETURN_IF_ERROR; the bad_alloc action bypasses the return value by
-// throwing. Compiled to a bare Status::OK() under -DOSRS_FAILPOINTS=OFF.
-#if OSRS_FAILPOINTS_ENABLED
+// throwing.
 #define OSRS_FAILPOINT(name)                                          \
   ([]() -> ::osrs::Status {                                           \
     static ::osrs::fault::Failpoint* osrs_failpoint =                 \
@@ -207,8 +193,5 @@ class FailpointRegistry {
     if (!osrs_failpoint->armed()) return ::osrs::Status::OK();        \
     return osrs_failpoint->Evaluate();                                \
   }())
-#else
-#define OSRS_FAILPOINT(name) ::osrs::Status::OK()
-#endif
 
 #endif  // OSRS_FAULT_FAILPOINT_H_

@@ -5,21 +5,13 @@
 // primitives owned by a global MetricsRegistry with string-interned names
 // (one handle per name, stable for the process lifetime).
 //
-// Two switches keep the layer near-free in production:
-//
-//   * compile time — the cmake option OSRS_OBS (default ON) defines
-//     OSRS_OBS_ENABLED; with -DOSRS_OBS=OFF every recording call compiles
-//     to nothing and TraceSpan (see obs/trace.h) shrinks to an empty type;
-//   * run time — MetricsRegistry::SetEnabled(true) must be called before
-//     registered metrics record anything. Disabled recording is one
-//     relaxed atomic load plus a predictable branch.
+// A runtime switch keeps the layer near-free in production:
+// MetricsRegistry::SetEnabled(true) must be called before registered
+// metrics record anything. Disabled recording is one relaxed atomic load
+// plus a predictable branch.
 //
 // Naming convention: "osrs.<module>.<name>", e.g. "osrs.simplex.pivots"
 // (documented in README.md, "Observability").
-
-#ifndef OSRS_OBS_ENABLED
-#define OSRS_OBS_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -33,9 +25,6 @@
 
 namespace osrs::obs {
 
-/// False when the tree was configured with -DOSRS_OBS=OFF.
-inline constexpr bool kCompiledIn = OSRS_OBS_ENABLED != 0;
-
 namespace internal {
 /// The runtime gate shared by every registered metric. A function-local
 /// static sidesteps initialization-order issues for metrics touched during
@@ -46,9 +35,8 @@ inline std::atomic<bool>& EnabledFlag() {
 }
 }  // namespace internal
 
-/// True when telemetry is compiled in AND runtime-enabled.
+/// True when telemetry is runtime-enabled.
 inline bool Enabled() {
-  if constexpr (!kCompiledIn) return false;
   return internal::EnabledFlag().load(std::memory_order_relaxed);
 }
 

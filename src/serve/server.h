@@ -367,7 +367,7 @@ class SummaryServer {
 
   /// Solve-cost estimate feeding admission and shedding. Kept as a plain
   /// snapshot under its own mutex so the policy works even when the
-  /// global metrics registry is disabled or compiled out.
+  /// global metrics registry is disabled.
   mutable Mutex cost_mutex_;
   obs::HistogramSnapshot solve_cost_ OSRS_GUARDED_BY(cost_mutex_);
   double p50_solve_ms_cached_ OSRS_GUARDED_BY(cost_mutex_) = 0.0;

@@ -70,8 +70,6 @@ TEST(CorpusIoTest, FailedWriteLeavesPreviousFileIntact) {
   // write must leave the previous contents observable — a torn corpus
   // file can no longer exist. Inject a failure at each store-level stage
   // and re-read the original after every one.
-  if (!fault::kCompiledIn)
-    GTEST_SKIP() << "failpoints compiled out (-DOSRS_FAILPOINTS=OFF)";
   std::string path = testing::TempDir() + "/osrs_corpus_atomic.tsv";
   ASSERT_TRUE(WriteTextFile(path, "original contents\n").ok());
 
