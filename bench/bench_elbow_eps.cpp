@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
     osrs::Item capped = osrs::TruncateToPairBudget(item, 400);
     auto pairs = osrs::PairsOf(osrs::CollectPairs(capped));
     osrs::ElbowResult result =
-        osrs::SelectEpsilonByElbow(corpus.ontology, pairs, k, epsilons);
+        osrs::SelectEpsilonByElbow(corpus.ontology, pairs, k, epsilons, {})
+            .value();
     std::vector<std::string> row{capped.id};
     for (double fraction : result.covered_fraction) {
       row.push_back(osrs::StrFormat("%.3f", fraction));

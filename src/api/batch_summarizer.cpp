@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/slog.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -69,16 +70,6 @@ Result<ItemSummary> GuardedSummarize(const ReviewSummarizer& summarizer,
     return Status::Internal(
         "isolated non-standard exception from summarize worker");
   }
-}
-
-/// splitmix64 finalizer: full-avalanche mix of the jitter inputs.
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
 }
 
 /// Backoff before retry `attempt` (1-based) of item `item_index`:

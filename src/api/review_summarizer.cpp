@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/distance.h"
@@ -83,18 +84,9 @@ obs::Histogram* SolveMsHistogram() {
   return histogram;
 }
 
-/// splitmix64 finalizer, the same full-avalanche mix the retry jitter
-/// uses: each field is mixed into the running hash so field order and
-/// adjacent-value collisions cannot cancel out.
-uint64_t Mix64(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
-}
-
+/// Mixes each field into the running hash through the splitmix64
+/// finalizer, so field order and adjacent-value collisions cannot cancel
+/// out.
 uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return Mix64(seed ^ (value + 0x9E3779B97F4A7C15ull + (seed << 6)));
 }
@@ -135,25 +127,15 @@ std::string ItemSummary::ToJson() const {
   }
   warnings_json += ']';
 
-  std::string out = "{";
-  // The top-level degraded / algorithm / stop_reason / budget_spent_ms /
-  // validation_warnings keys are deprecated aliases of the "diagnostics"
-  // object below, kept for one release (see README.md, "Observability").
-  out += StrFormat(
-      "\"cost\":%.6g,\"epsilon\":%.6g,\"solver_seconds\":%.6g,"
+  std::string out = StrFormat(
+      "{\"cost\":%.6g,\"epsilon\":%.6g,"
       "\"num_pairs\":%zu,\"num_candidates\":%zu,\"num_edges\":%zu,"
-      "\"degraded\":%s,\"algorithm\":\"%s\",\"stop_reason\":\"%s\","
-      "\"budget_spent_ms\":%.3f,",
-      cost, epsilon, solver_seconds, num_pairs, num_candidates, num_edges,
-      degraded ? "true" : "false",
-      JsonEscape(SummaryAlgorithmToString(algorithm_used)).c_str(),
-      StatusCodeToString(stop_reason), budget_spent_ms);
-  out += StrFormat(
       "\"diagnostics\":{\"degraded\":%s,\"algorithm\":\"%s\","
       "\"stop_reason\":\"%s\",\"budget_spent_ms\":%.3f,"
       "\"solver_seconds\":%.6g,\"retries\":%d,"
       "\"request_id\":%llu,\"trace_id\":\"%016llx\","
       "\"validation_warnings\":%s,\"stats\":%s},",
+      cost, epsilon, num_pairs, num_candidates, num_edges,
       degraded ? "true" : "false",
       JsonEscape(SummaryAlgorithmToString(algorithm_used)).c_str(),
       StatusCodeToString(stop_reason), budget_spent_ms, solver_seconds,
@@ -170,9 +152,7 @@ std::string ItemSummary::ToJson() const {
         entries[i].sentence_index, entries[i].pair.concept_id,
         entries[i].pair.sentiment);
   }
-  out += "],\"validation_warnings\":";
-  out += warnings_json;
-  out += '}';
+  out += "]}";
   return out;
 }
 
@@ -226,26 +206,29 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
   obs::Tracer::Scope trace_scope(options_.collect_stats ? &trace
                                                         : obs::Tracer::current());
 
+  // Every graph this request builds, the elbow probes included, goes
+  // through the gated builders under these options. Their failures
+  // (memory budget, injected faults) have no partial result to degrade to;
+  // surface them for the caller's retry policy — kResourceExhausted and
+  // injected codes are retryable.
+  CoverageBuildOptions build_options;
+  build_options.num_threads = options_.graph_build_threads;
+  build_options.max_memory_bytes = options_.max_memory_bytes;
   double epsilon = options_.epsilon;
   if (options_.auto_epsilon) {
     auto pairs = PairsOf(CollectPairs(item));
     if (!pairs.empty()) {
-      ElbowResult elbow = SelectEpsilonByElbow(
+      Result<ElbowResult> elbow = SelectEpsilonByElbow(
           *ontology_, pairs, std::max(1, k),
-          {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0});
-      epsilon = elbow.chosen_epsilon;
+          {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.2, 1.6, 2.0}, build_options);
+      OSRS_RETURN_IF_ERROR(elbow.status());
+      epsilon = elbow->chosen_epsilon;
     }
   }
 
   PairDistance distance(ontology_, epsilon);
-  CoverageBuildOptions build_options;
-  build_options.num_threads = options_.graph_build_threads;
-  build_options.max_memory_bytes = options_.max_memory_bytes;
   Result<ItemGraph> built =
       TryBuildItemGraph(distance, item, options_.granularity, build_options);
-  // Graph construction failures (memory budget, injected faults) have no
-  // partial result to degrade to; surface them for the caller's retry
-  // policy — kResourceExhausted and injected codes are retryable.
   OSRS_RETURN_IF_ERROR(built.status());
   ItemGraph item_graph = std::move(built).value();
   int effective_k = std::min<int>(k, item_graph.graph.num_candidates());

@@ -31,9 +31,11 @@ Result<std::vector<int>> CoverageGreedySelector::Select(
   }
 
   PairDistance distance(ontology_, epsilon_);
-  CoverageGraph graph = CoverageGraph::BuildForGroups(distance, pairs, groups);
-  int effective_k = std::min<int>(k, graph.num_candidates());
-  auto result = greedy_.Summarize(graph, effective_k);
+  Result<CoverageGraph> graph = CoverageGraph::TryBuildForGroupsWeighted(
+      distance, pairs, groups, FoldTargets(pairs), CoverageBuildOptions{});
+  OSRS_RETURN_IF_ERROR(graph.status());
+  int effective_k = std::min<int>(k, graph->num_candidates());
+  auto result = greedy_.Summarize(*graph, effective_k);
   OSRS_RETURN_IF_ERROR(result.status());
 
   std::vector<int> selected;

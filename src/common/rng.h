@@ -9,6 +9,21 @@
 
 namespace osrs {
 
+/// The splitmix64 finalizer: a bijective, full-avalanche mix of one 64-bit
+/// word (output i of a SplitMix64 sequence from state 0 is
+/// Mix64((i + 1) * 0x9E3779B97F4A7C15)). The library's one integer hash:
+/// seeding, trace ids, option fingerprints, retry jitter and the
+/// FoldTargets table. Inline because FoldTargets hashes every pair of
+/// every solve through it.
+inline constexpr uint64_t Mix64(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  h ^= h >> 31;
+  return h;
+}
+
 /// Deterministic, seedable pseudo-random generator (xoshiro256** core with a
 /// SplitMix64 seeding sequence).
 ///

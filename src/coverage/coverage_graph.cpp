@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "common/strings.h"
 #include "fault/failpoint.h"
@@ -518,18 +519,13 @@ struct DedupeKey {
   }
 };
 
-/// Mixes the concept and bucket words with splitmix64-style avalanching;
+/// Mixes the concept and bucket words through the splitmix64 finalizer;
 /// either field alone is low-entropy (small ids, clustered buckets).
 struct DedupeKeyHash {
   size_t operator()(const DedupeKey& key) const {
     uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(key.concept_id));
     h = (h << 32) ^ static_cast<uint64_t>(key.sentiment_bucket);
-    h ^= h >> 30;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 27;
-    h *= 0x94D049BB133111EBULL;
-    h ^= h >> 31;
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(Mix64(h));
   }
 };
 

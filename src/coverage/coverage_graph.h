@@ -200,8 +200,9 @@ class CoverageGraph {
   /// "osrs.coverage.alloc" failpoint (src/fault/failpoint.h) is evaluated
   /// on entry — only here, so callers of the legacy value-returning
   /// builders are never affected by an armed failpoint. A weight count
-  /// that differs from the target count is kInvalidArgument. Prefer these
-  /// on any path with a RetryPolicy above it.
+  /// that differs from the target count is kInvalidArgument. Every graph
+  /// built under src/ goes through these; the value-returning builders are
+  /// kept as the unfolded reference for tests and benches.
   static Result<CoverageGraph> TryBuildForPairsWeighted(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,

@@ -6,27 +6,28 @@
 #include "common/logging.h"
 #include "core/cost.h"
 #include "core/distance.h"
-#include "coverage/coverage_graph.h"
 #include "solver/greedy.h"
 
 namespace osrs {
 
-ElbowResult SelectEpsilonByElbow(const Ontology& ontology,
-                                 const std::vector<ConceptSentimentPair>& pairs,
-                                 int k,
-                                 std::vector<double> epsilons) {
+Result<ElbowResult> SelectEpsilonByElbow(
+    const Ontology& ontology, const std::vector<ConceptSentimentPair>& pairs,
+    int k, std::vector<double> epsilons, const CoverageBuildOptions& options) {
   OSRS_CHECK(!epsilons.empty());
   OSRS_CHECK(std::is_sorted(epsilons.begin(), epsilons.end()));
   ElbowResult result;
   result.epsilons = std::move(epsilons);
 
+  const WeightedTargets targets = FoldTargets(pairs);
   GreedySummarizer greedy;
   for (double eps : result.epsilons) {
     PairDistance distance(&ontology, eps);
-    CoverageGraph graph = CoverageGraph::BuildForPairs(distance, pairs);
-    int effective_k = std::min<int>(k, graph.num_candidates());
-    auto summary = greedy.Summarize(graph, effective_k);
-    OSRS_CHECK(summary.ok());
+    Result<CoverageGraph> graph = CoverageGraph::TryBuildForPairsWeighted(
+        distance, pairs, targets, options);
+    OSRS_RETURN_IF_ERROR(graph.status());
+    int effective_k = std::min<int>(k, graph->num_candidates());
+    auto summary = greedy.Summarize(*graph, effective_k);
+    OSRS_RETURN_IF_ERROR(summary.status());
     std::vector<ConceptSentimentPair> selected;
     for (int u : summary->selected) {
       selected.push_back(pairs[static_cast<size_t>(u)]);

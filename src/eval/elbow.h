@@ -3,7 +3,9 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "core/model.h"
+#include "coverage/coverage_graph.h"
 #include "ontology/ontology.h"
 
 namespace osrs {
@@ -22,9 +24,17 @@ struct ElbowResult {
 /// and picks the knee of the coverage curve by the maximum-distance-to-
 /// chord rule: past the knee, raising ε stops buying coverage — the
 /// "rate of covered sentences significantly drops" criterion of §5.3.
-ElbowResult SelectEpsilonByElbow(const Ontology& ontology,
-                                 const std::vector<ConceptSentimentPair>& pairs,
-                                 int k, std::vector<double> epsilons);
+///
+/// Every grid point builds its graph through
+/// CoverageGraph::TryBuildForPairsWeighted over FoldTargets(pairs) (folded
+/// once for the whole grid), so `options.max_memory_bytes` bounds each
+/// probe graph and the "osrs.coverage.alloc" failpoint is evaluated once
+/// per grid point. A failed build or solve is returned as is. Greedy on
+/// the folded graph selects exactly what it selects on the unfolded one,
+/// so the curve does not depend on the fold.
+Result<ElbowResult> SelectEpsilonByElbow(
+    const Ontology& ontology, const std::vector<ConceptSentimentPair>& pairs,
+    int k, std::vector<double> epsilons, const CoverageBuildOptions& options);
 
 }  // namespace osrs
 

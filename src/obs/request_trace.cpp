@@ -3,15 +3,13 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace osrs::obs {
 
 uint64_t DeriveTraceId(uint64_t request_id) {
-  uint64_t z = request_id + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return Mix64(request_id + 0x9E3779B97F4A7C15ULL);
 }
 
 const char* RequestSpanKindName(RequestSpanKind kind) {

@@ -9,7 +9,8 @@
 // The item-graph tests then check the folded production graph
 // (TryBuildItemGraph: equal pairs share one weighted target) against the
 // unfolded raw builders: the same graph up to the fold, and the same
-// answers from every solver.
+// answers from every solver. The last test does the same for the
+// auto_epsilon elbow probe, which builds its grid graphs folded too.
 
 #include <algorithm>
 #include <bit>
@@ -24,8 +25,12 @@
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "core/cost.h"
 #include "coverage/coverage_graph.h"
 #include "coverage/item_graph.h"
+#include "datagen/cellphone_corpus.h"
+#include "datagen/doctor_corpus.h"
+#include "eval/elbow.h"
 #include "lp/simplex.h"
 #include "ontology/ontology.h"
 #include "solver/greedy.h"
@@ -739,6 +744,88 @@ TEST(CoverageDiffTest, WeightedBuildersRejectMismatchedWeights) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+/// The elbow sweep over unfolded graphs: one BuildForPairs graph per grid
+/// point, greedy, CoveredFraction, and the maximum-distance-to-chord knee.
+ElbowResult ReferenceElbow(const Ontology& onto,
+                           const std::vector<ConceptSentimentPair>& pairs,
+                           int k, const std::vector<double>& epsilons) {
+  ElbowResult result;
+  result.epsilons = epsilons;
+  GreedySummarizer greedy;
+  for (double eps : epsilons) {
+    PairDistance distance(&onto, eps);
+    const CoverageGraph graph = CoverageGraph::BuildForPairs(distance, pairs);
+    auto summary =
+        greedy.Summarize(graph, std::min<int>(k, graph.num_candidates()));
+    EXPECT_TRUE(summary.ok()) << summary.status().ToString();
+    if (!summary.ok()) return result;
+    std::vector<ConceptSentimentPair> selected;
+    for (int u : summary->selected) {
+      selected.push_back(pairs[static_cast<size_t>(u)]);
+    }
+    result.covered_fraction.push_back(
+        CoveredFraction(distance, selected, pairs));
+  }
+  const double x0 = epsilons.front(), x1 = epsilons.back();
+  const double y0 = result.covered_fraction.front(),
+               y1 = result.covered_fraction.back();
+  const double x_span = std::max(x1 - x0, 1e-12);
+  const double y_span = std::max(std::abs(y1 - y0), 1e-12);
+  double best = -1.0;
+  for (size_t i = 0; i < epsilons.size(); ++i) {
+    const double x = (epsilons[i] - x0) / x_span;
+    const double y = (result.covered_fraction[i] - y0) / y_span;
+    const double distance = std::abs(y - x) / std::sqrt(2.0);
+    if (distance > best) {
+      best = distance;
+      result.chosen_epsilon = epsilons[i];
+    }
+  }
+  return result;
+}
+
+TEST(CoverageDiffTest, FoldedElbowMatchesUnfoldedReference) {
+  // The grid ReviewSummarizer's auto_epsilon probes.
+  const std::vector<double> grid{0.1, 0.2, 0.3, 0.4, 0.5,
+                                 0.7, 0.9, 1.2, 1.6, 2.0};
+  DoctorCorpusOptions doctor_options;
+  doctor_options.scale = 0.006;  // 6 doctors
+  doctor_options.ontology_concepts = 800;
+  CellPhoneCorpusOptions phone_options;
+  phone_options.scale = 0.1;  // 6 phones
+  const Corpus corpora[] = {GenerateDoctorCorpus(doctor_options),
+                            GenerateCellPhoneCorpus(phone_options)};
+  int items_checked = 0;
+  for (const Corpus& corpus : corpora) {
+    const size_t num_items = std::min<size_t>(corpus.items.size(), 6);
+    for (size_t i = 0; i < num_items; ++i) {
+      const Item item = TruncateToPairBudget(corpus.items[i], 250);
+      const std::vector<ConceptSentimentPair> pairs =
+          PairsOf(CollectPairs(item));
+      if (pairs.empty()) continue;
+      for (int k : {1, 5}) {
+        SCOPED_TRACE(item.id + " k=" + std::to_string(k));
+        const ElbowResult expected =
+            ReferenceElbow(corpus.ontology, pairs, k, grid);
+        Result<ElbowResult> folded =
+            SelectEpsilonByElbow(corpus.ontology, pairs, k, grid, {});
+        ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+        EXPECT_EQ(folded->epsilons, expected.epsilons);
+        ASSERT_EQ(folded->covered_fraction.size(),
+                  expected.covered_fraction.size());
+        for (size_t g = 0; g < grid.size(); ++g) {
+          EXPECT_EQ(Bits(folded->covered_fraction[g]),
+                    Bits(expected.covered_fraction[g]))
+              << "eps " << grid[g];
+        }
+        EXPECT_EQ(Bits(folded->chosen_epsilon), Bits(expected.chosen_epsilon));
+      }
+      ++items_checked;
+    }
+  }
+  EXPECT_GE(items_checked, 10);
 }
 
 }  // namespace

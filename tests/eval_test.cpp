@@ -108,8 +108,10 @@ TEST(ElbowTest, CoverageNonDecreasingInEpsilon) {
     pairs.push_back({battery, -0.5 + 0.02 * i});
     pairs.push_back({onto.FindByName("camera"), 0.1 * (i % 3)});
   }
-  ElbowResult result = SelectEpsilonByElbow(
-      onto, pairs, 3, {0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0});
+  Result<ElbowResult> elbow = SelectEpsilonByElbow(
+      onto, pairs, 3, {0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0}, {});
+  ASSERT_TRUE(elbow.ok()) << elbow.status().ToString();
+  const ElbowResult& result = *elbow;
   ASSERT_EQ(result.covered_fraction.size(), 7u);
   for (size_t i = 1; i < result.covered_fraction.size(); ++i) {
     EXPECT_GE(result.covered_fraction[i],
@@ -122,8 +124,9 @@ TEST(ElbowTest, CoverageNonDecreasingInEpsilon) {
 TEST(ElbowTest, SingleEpsilonChosen) {
   Ontology onto = BuildChain();
   std::vector<ConceptSentimentPair> pairs{{onto.FindByName("a"), 0.5}};
-  ElbowResult result = SelectEpsilonByElbow(onto, pairs, 1, {0.5});
-  EXPECT_DOUBLE_EQ(result.chosen_epsilon, 0.5);
+  Result<ElbowResult> result = SelectEpsilonByElbow(onto, pairs, 1, {0.5}, {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_DOUBLE_EQ(result->chosen_epsilon, 0.5);
 }
 
 }  // namespace

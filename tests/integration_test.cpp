@@ -159,12 +159,13 @@ TEST(QualitativeShape, ElbowLandsNearHalf) {
   Corpus corpus = GenerateDoctorCorpus(options);
   Item capped = TruncateToPairBudget(corpus.items[0], 250);
   auto pairs = PairsOf(CollectPairs(capped));
-  ElbowResult result = SelectEpsilonByElbow(
-      corpus.ontology, pairs, 8, {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5});
+  Result<ElbowResult> result = SelectEpsilonByElbow(
+      corpus.ontology, pairs, 8, {0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5}, {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   // The generator's sentiment clusters make the knee land in the paper's
   // neighborhood of 0.5.
-  EXPECT_GE(result.chosen_epsilon, 0.2);
-  EXPECT_LE(result.chosen_epsilon, 1.0);
+  EXPECT_GE(result->chosen_epsilon, 0.2);
+  EXPECT_LE(result->chosen_epsilon, 1.0);
 }
 
 TEST(PipelineShape, RawTextPipelineSupportsAllAlgorithms) {
