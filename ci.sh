@@ -51,6 +51,12 @@ echo "== coverage-build bench smoke =="
 # report is written (full-size numbers live in BENCH_coverage.json).
 ./build/bench/bench_coverage_build --smoke --out=build/BENCH_coverage_smoke.json
 
+echo "== annotation bench smoke =="
+# CI-sized run of the text-pipeline bench: AnnotateTexts over doctor text
+# and over high-vocabulary random text (where the stem memo misses on
+# nearly every token) runs end to end and the JSON report is written.
+./build/bench/bench_annotate --smoke --out=build/BENCH_annotate_smoke.json
+
 echo "== chaos stage: failpoint schedules + env arming + retry overhead =="
 # chaos_test (also part of the suite above) is the randomized campaign;
 # here the two pieces the suite cannot cover run on top: the

@@ -1,5 +1,6 @@
 #include "api/annotator.h"
 
+#include <string_view>
 #include <utility>
 
 #include "common/strings.h"
@@ -14,7 +15,12 @@ ReviewAnnotator::ReviewAnnotator(const Ontology* ontology,
 
 Status ReviewAnnotator::AnnotateSentence(Sentence& sentence) const {
   sentence.pairs.clear();
-  std::vector<std::string> tokens = Tokenize(sentence.text);
+  // The sentence is tokenized once, into views over a lowered copy that
+  // extraction and scoring both read. The buffers are per thread because
+  // one const annotator is shared by every thread that ingests.
+  thread_local std::string lowered;
+  thread_local std::vector<std::string_view> tokens;
+  TokenizeViews(sentence.text, &lowered, &tokens);
   // The Try variants exist for exactly this call site: they put the
   // annotation phases behind failpoints so a chaos schedule can fail a
   // live request during extraction or scoring.

@@ -17,6 +17,10 @@ namespace osrs {
 /// sentiment is assigned to every concept it mentions, exactly as the
 /// paper does ("we compute the sentiment of the containing sentence and
 /// assign this sentiment to the concept").
+///
+/// Each sentence is tokenized once (TokenizeViews, into per-thread
+/// buffers), and extraction and scoring read the same token views, so a
+/// const annotator can be shared by any number of threads.
 class ReviewAnnotator {
  public:
   /// `ontology` must outlive the annotator.

@@ -12,7 +12,8 @@ namespace osrs {
 
 Result<ElbowResult> SelectEpsilonByElbow(
     const Ontology& ontology, const std::vector<ConceptSentimentPair>& pairs,
-    int k, std::vector<double> epsilons, const CoverageBuildOptions& options) {
+    int k, std::vector<double> epsilons, const CoverageBuildOptions& options,
+    const ExecutionBudget& budget) {
   OSRS_CHECK(!epsilons.empty());
   OSRS_CHECK(std::is_sorted(epsilons.begin(), epsilons.end()));
   ElbowResult result;
@@ -21,6 +22,7 @@ Result<ElbowResult> SelectEpsilonByElbow(
   const WeightedTargets targets = FoldTargets(pairs);
   GreedySummarizer greedy;
   for (double eps : result.epsilons) {
+    OSRS_RETURN_IF_ERROR(budget.Check());
     PairDistance distance(&ontology, eps);
     Result<CoverageGraph> graph = CoverageGraph::TryBuildForPairsWeighted(
         distance, pairs, targets, options);

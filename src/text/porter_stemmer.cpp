@@ -1,5 +1,9 @@
 #include "text/porter_stemmer.h"
 
+#include <functional>
+
+#include "common/logging.h"
+
 namespace osrs {
 namespace {
 
@@ -218,5 +222,35 @@ class Stemmer {
 }  // namespace
 
 std::string PorterStem(std::string_view word) { return Stemmer(word).Run(); }
+
+StemMemo::StemMemo() : slots_(std::make_unique<Slot[]>(kSlots)) {}
+
+size_t StemMemo::SlotOf(std::string_view word) {
+  return std::hash<std::string_view>{}(word) & (kSlots - 1);
+}
+
+std::string_view StemMemo::Stem(std::string_view word) {
+  if (word.size() > kMaxWordLength) {
+    long_stem_ = PorterStem(word);
+    return long_stem_;
+  }
+  Slot& slot = slots_[SlotOf(word)];
+  if (std::string_view(slot.word, slot.word_length) != word) {
+    std::string stem = PorterStem(word);
+    // Porter only strips or rewrites suffixes: a stem never outgrows its
+    // word, so it fits the slot.
+    OSRS_CHECK_LE(stem.size(), word.size());
+    word.copy(slot.word, word.size());
+    stem.copy(slot.stem, stem.size());
+    slot.word_length = static_cast<uint8_t>(word.size());
+    slot.stem_length = static_cast<uint8_t>(stem.size());
+  }
+  return {slot.stem, slot.stem_length};
+}
+
+StemMemo& StemMemo::ForThisThread() {
+  thread_local StemMemo memo;
+  return memo;
+}
 
 }  // namespace osrs

@@ -9,7 +9,7 @@
 namespace osrs {
 
 int Vocabulary::Add(std::string_view word) {
-  auto it = index_.find(std::string(word));
+  auto it = index_.find(word);
   if (it == index_.end()) {
     int id = static_cast<int>(words_.size());
     words_.emplace_back(word);
@@ -33,7 +33,7 @@ void Vocabulary::AddDocument(const std::vector<std::string>& words) {
 }
 
 int Vocabulary::IdOf(std::string_view word) const {
-  auto it = index_.find(std::string(word));
+  auto it = index_.find(word);
   return it == index_.end() ? kUnknownWord : it->second;
 }
 

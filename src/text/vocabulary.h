@@ -3,8 +3,9 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "common/strings.h"
 
 namespace osrs {
 
@@ -42,7 +43,7 @@ class Vocabulary {
   std::vector<int> MostFrequent(size_t limit) const;
 
  private:
-  std::unordered_map<std::string, int> index_;
+  StringMap<int> index_;
   std::vector<std::string> words_;
   std::vector<int64_t> counts_;
   std::vector<int64_t> doc_frequencies_;

@@ -1,11 +1,18 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/annotator.h"
 #include "api/review_summarizer.h"
 #include "datagen/cellphone_corpus.h"
+#include "datagen/doctor_corpus.h"
 #include "ontology/cellphone_hierarchy.h"
 
 namespace osrs {
@@ -215,6 +222,67 @@ TEST(AnnotatorTest, ReannotationOverwritesPairs) {
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].concept_id, onto.FindByName("screen"));
   EXPECT_GT(pairs[0].sentiment, 0.0);
+}
+
+// One const annotator shared by four threads, each starting at a different
+// item so their stem memos fill in different orders: every thread's pairs
+// are bit-identical to a single-threaded pass. (ci.sh runs this under TSan.)
+TEST(AnnotatorTest, SharedAnnotatorMatchesSingleThreadedPass) {
+  DoctorCorpusOptions options;
+  options.scale = 0.02;
+  Corpus corpus = GenerateDoctorCorpus(options);
+  std::vector<std::vector<std::string>> texts;
+  for (const Item& item : corpus.items) {
+    std::vector<std::string> reviews;
+    for (const Review& review : item.reviews) {
+      std::string text;
+      for (const Sentence& sentence : review.sentences) {
+        text += sentence.text + ". ";
+      }
+      reviews.push_back(std::move(text));
+    }
+    texts.push_back(std::move(reviews));
+  }
+  const ReviewAnnotator annotator(&corpus.ontology,
+                                  SentimentEstimator::LexiconOnly());
+  // Every item's pairs in item order, sentiments as raw bits.
+  auto annotate_all = [&](size_t first_item) {
+    std::vector<std::vector<std::pair<ConceptId, uint64_t>>> out(
+        texts.size());
+    for (size_t n = 0; n < texts.size(); ++n) {
+      size_t i = (first_item + n) % texts.size();
+      Result<Item> item = annotator.AnnotateTexts("item", texts[i], {});
+      if (!item.ok()) continue;
+      for (const Review& review : item->reviews) {
+        for (const Sentence& sentence : review.sentences) {
+          for (const ConceptSentimentPair& pair : sentence.pairs) {
+            out[i].emplace_back(pair.concept_id,
+                                std::bit_cast<uint64_t>(pair.sentiment));
+          }
+        }
+      }
+    }
+    return out;
+  };
+  const auto reference = annotate_all(0);
+  size_t pairs = 0;
+  for (const auto& item_pairs : reference) pairs += item_pairs.size();
+  ASSERT_GT(pairs, 1000u);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<std::pair<ConceptId, uint64_t>>>>
+      results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      results[static_cast<size_t>(t)] =
+          annotate_all(static_cast<size_t>(t) * texts.size() / kThreads);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[static_cast<size_t>(t)], reference) << "thread " << t;
+  }
 }
 
 // -------------------------------------- End-to-end pipeline vs ground truth

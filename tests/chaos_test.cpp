@@ -12,10 +12,12 @@
 //   * single-threaded schedules are bit-reproducible under a fixed seed.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +31,7 @@
 #include "common/strings.h"
 #include "core/model.h"
 #include "datagen/corpus_io.h"
+#include "datagen/doctor_corpus.h"
 #include "fault/failpoint.h"
 #include "ontology/cellphone_hierarchy.h"
 #include "ontology/ontology.h"
@@ -505,6 +508,66 @@ TEST_F(ChaosTest, AutoEpsilonProbesEvaluateTheAllocFailpoint) {
   summary = summarizer.Summarize(SmallItem(onto, "a"), 2);
   EXPECT_EQ(summary.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(alloc->hits(), 1) << "the first probe's failure ends the request";
+}
+
+// The probe honours the request deadline: with every graph build stalled
+// 20 ms against a 50 ms deadline, the sweep stops at the first grid point
+// past the deadline instead of building all ten graphs, and the item is
+// solved at the configured ε and flagged degraded. Probes start at about
+// 0, 20 and 40 ms, so at most three stall before the item graph does.
+TEST_F(ChaosTest, AutoEpsilonProbeStopsAtTheRequestDeadline) {
+  DoctorCorpusOptions corpus_options;
+  corpus_options.scale = 0.01;
+  Corpus corpus = GenerateDoctorCorpus(corpus_options);
+  ASSERT_FALSE(corpus.items.empty());
+  ReviewSummarizerOptions options;
+  options.auto_epsilon = true;
+  options.deadline_ms = 50.0;
+  ReviewSummarizer summarizer(&corpus.ontology, options);
+
+  FailpointSpec stall;
+  stall.action = FailAction::kDelay;
+  stall.delay_ms = 20.0;
+  Failpoint* alloc = FailpointRegistry::Global().Get("osrs.coverage.alloc");
+  alloc->Arm(stall);
+  Result<ItemSummary> summary = summarizer.Summarize(corpus.items[0], 5);
+  const int64_t injections = alloc->injections();
+
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_TRUE(summary->degraded);
+  EXPECT_EQ(summary->stop_reason, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(summary->epsilon, 0.5);
+  EXPECT_LE(injections, 5) << "the probe kept building past the deadline";
+}
+
+// Cancellation is never absorbed: a request cancelled mid-probe stops the
+// sweep and fails kCancelled instead of being solved at the configured ε.
+TEST_F(ChaosTest, AutoEpsilonProbeSurfacesCancellation) {
+  DoctorCorpusOptions corpus_options;
+  corpus_options.scale = 0.01;
+  Corpus corpus = GenerateDoctorCorpus(corpus_options);
+  ASSERT_FALSE(corpus.items.empty());
+  CancellationFlag cancel;
+  ReviewSummarizerOptions options;
+  options.auto_epsilon = true;
+  options.cancellation = &cancel;
+  ReviewSummarizer summarizer(&corpus.ontology, options);
+
+  FailpointSpec stall;
+  stall.action = FailAction::kDelay;
+  stall.delay_ms = 20.0;
+  Failpoint* alloc = FailpointRegistry::Global().Get("osrs.coverage.alloc");
+  alloc->Arm(stall);
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    cancel.Cancel();
+  });
+  Result<ItemSummary> summary = summarizer.Summarize(corpus.items[0], 5);
+  canceller.join();
+  const int64_t injections = alloc->injections();
+
+  EXPECT_EQ(summary.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(injections, 11) << "the probe kept building after cancellation";
 }
 
 // Regression: a retry whose backoff the remaining batch deadline cannot

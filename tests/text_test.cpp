@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 #include "text/porter_stemmer.h"
 #include "text/sentence_splitter.h"
 #include "text/stopwords.h"
@@ -128,6 +130,47 @@ TEST(PorterStemmerTest, ShortWordsUnchanged) {
   EXPECT_EQ(PorterStem("is"), "is");
   EXPECT_EQ(PorterStem("a"), "a");
   EXPECT_EQ(PorterStem("by"), "by");
+}
+
+// The memo must answer exactly PorterStem, whatever it holds: 50,000 seeded
+// random words (far more than kSlots, so slots are overwritten many times
+// over), a word re-queried after another word took its slot, and a word
+// longer than kMaxWordLength that bypasses the memo.
+TEST(StemMemoTest, AgreesWithPorterStemUnderEviction) {
+  StemMemo memo;
+  Rng rng(1234);
+  auto random_word = [&rng](size_t length) {
+    std::string word;
+    for (size_t i = 0; i < length; ++i) {
+      word.push_back(static_cast<char>('a' + rng.NextUint64(26)));
+    }
+    return word;
+  };
+  const std::string first = "hospitalization";
+  ASSERT_EQ(memo.Stem(first), PorterStem(first));
+  bool first_evicted = false;
+  for (int i = 0; i < 50000; ++i) {
+    std::string word =
+        random_word(1 + rng.NextUint64(StemMemo::kMaxWordLength));
+    ASSERT_EQ(memo.Stem(word), PorterStem(word)) << word;
+    ASSERT_EQ(memo.Stem(word), PorterStem(word)) << word << " (hit)";
+    first_evicted |= word != first &&
+                     StemMemo::SlotOf(word) == StemMemo::SlotOf(first);
+  }
+  ASSERT_TRUE(first_evicted) << "no word took the first word's slot";
+  EXPECT_EQ(memo.Stem(first), PorterStem(first));
+
+  const std::string long_word =
+      "internationalizationalities" + random_word(StemMemo::kMaxWordLength);
+  ASSERT_GT(long_word.size(), StemMemo::kMaxWordLength);
+  EXPECT_EQ(memo.Stem(long_word), PorterStem(long_word));
+  EXPECT_EQ(memo.Stem(first), PorterStem(first));
+  EXPECT_EQ(memo.Stem(""), "");
+}
+
+TEST(StemMemoTest, OnePerThread) {
+  EXPECT_EQ(&StemMemo::ForThisThread(), &StemMemo::ForThisThread());
+  EXPECT_EQ(StemMemo::ForThisThread().Stem("charging"), PorterStem("charging"));
 }
 
 // --------------------------------------------------------------- Stopwords
