@@ -66,7 +66,7 @@ std::string_view Trim(std::string_view text) {
 
 std::string ToLower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = LowerAscii(c);
   return out;
 }
 

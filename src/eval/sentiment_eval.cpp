@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "text/tokenizer.h"
 
 namespace osrs {
 
@@ -21,7 +22,7 @@ SentimentEvalResult EvaluateSentiment(
   double abs_error = 0.0;
   size_t polar = 0, polar_hits = 0;
   for (size_t i = 0; i < sentences.size(); ++i) {
-    double predicted = estimator.ScoreSentence(sentences[i]);
+    double predicted = estimator.ScoreSentence(AsViews(sentences[i]));
     predictions.push_back(predicted);
     abs_error += std::abs(predicted - references[i]);
     if (std::abs(references[i]) > 0.25) {

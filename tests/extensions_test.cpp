@@ -156,7 +156,7 @@ TEST(SentimentEvalTest, PerfectEstimatorScoresPerfectly) {
       Tokenize("this is good"), Tokenize("this is bad")};
   std::vector<double> references;
   for (const auto& sentence : sentences) {
-    references.push_back(estimator.ScoreSentence(sentence));
+    references.push_back(estimator.ScoreSentence(AsViews(sentence)));
   }
   auto result = EvaluateSentiment(estimator, sentences, references);
   EXPECT_EQ(result.num_sentences, 4u);

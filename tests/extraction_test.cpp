@@ -16,11 +16,19 @@ namespace {
 
 // ------------------------------------------------------------ Aho-Corasick
 
+/// Find over `tokens`, each mapped to its symbol through SymbolOf.
+std::vector<TokenAhoCorasick::Match> FindTokens(
+    const TokenAhoCorasick& ac, const std::vector<std::string>& tokens) {
+  std::vector<int> symbols;
+  for (const std::string& token : tokens) symbols.push_back(ac.SymbolOf(token));
+  return ac.Find(symbols);
+}
+
 TEST(AhoCorasickTest, FindsSingleTokenPattern) {
   TokenAhoCorasick ac;
   ac.AddPattern({"battery"}, 1);
   ac.Build();
-  auto matches = ac.Find({"the", "battery", "died"});
+  auto matches = FindTokens(ac, {"the", "battery", "died"});
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].payload, 1);
   EXPECT_EQ(matches[0].begin, 1u);
@@ -31,7 +39,7 @@ TEST(AhoCorasickTest, FindsMultiTokenPattern) {
   TokenAhoCorasick ac;
   ac.AddPattern({"battery", "life"}, 7);
   ac.Build();
-  auto matches = ac.Find({"great", "battery", "life", "here"});
+  auto matches = FindTokens(ac, {"great", "battery", "life", "here"});
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].begin, 1u);
   EXPECT_EQ(matches[0].end, 3u);
@@ -43,7 +51,7 @@ TEST(AhoCorasickTest, OverlappingPatternsAllReported) {
   ac.AddPattern({"battery", "life"}, 2);
   ac.AddPattern({"life"}, 3);
   ac.Build();
-  auto matches = ac.Find({"battery", "life"});
+  auto matches = FindTokens(ac, {"battery", "life"});
   std::set<int> payloads;
   for (const auto& m : matches) payloads.insert(m.payload);
   EXPECT_EQ(payloads, (std::set<int>{1, 2, 3}));
@@ -54,7 +62,7 @@ TEST(AhoCorasickTest, SuffixPatternFoundViaFailLinks) {
   ac.AddPattern({"very", "good", "screen"}, 1);
   ac.AddPattern({"good", "screen"}, 2);
   ac.Build();
-  auto matches = ac.Find({"very", "good", "screen"});
+  auto matches = FindTokens(ac, {"very", "good", "screen"});
   std::set<int> payloads;
   for (const auto& m : matches) payloads.insert(m.payload);
   EXPECT_EQ(payloads, (std::set<int>{1, 2}));
@@ -65,14 +73,14 @@ TEST(AhoCorasickTest, UnknownTokensResetState) {
   ac.AddPattern({"battery", "life"}, 1);
   ac.Build();
   // "battery xyz life" must not match.
-  EXPECT_TRUE(ac.Find({"battery", "xyz", "life"}).empty());
+  EXPECT_TRUE(FindTokens(ac, {"battery", "xyz", "life"}).empty());
 }
 
 TEST(AhoCorasickTest, RepeatedMatches) {
   TokenAhoCorasick ac;
   ac.AddPattern({"good"}, 1);
   ac.Build();
-  EXPECT_EQ(ac.Find({"good", "good", "good"}).size(), 3u);
+  EXPECT_EQ(FindTokens(ac, {"good", "good", "good"}).size(), 3u);
 }
 
 TEST(AhoCorasickTest, EmptyPatternIgnored) {
@@ -88,8 +96,8 @@ TEST(AhoCorasickTest, EmptyPatternIgnored) {
 TEST(DictionaryExtractorTest, ExtractsKnownAspects) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
-  auto concepts =
-      extractor.ExtractConcepts(Tokenize("The battery life is great"));
+  auto concepts = extractor.ExtractConcepts(
+      AsViews(Tokenize("The battery life is great")));
   ASSERT_EQ(concepts.size(), 1u);
   EXPECT_EQ(concepts[0], onto.FindByName("battery life"));
 }
@@ -98,7 +106,8 @@ TEST(DictionaryExtractorTest, LongestSpanWins) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
   // "battery life" must suppress the nested "battery" mention.
-  auto mentions = extractor.FindMentions(Tokenize("battery life is great"));
+  auto mentions =
+      extractor.FindMentions(AsViews(Tokenize("battery life is great")));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].concept_id, onto.FindByName("battery life"));
   EXPECT_EQ(mentions[0].begin, 0u);
@@ -108,7 +117,8 @@ TEST(DictionaryExtractorTest, LongestSpanWins) {
 TEST(DictionaryExtractorTest, StemmedVariantsMatch) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
-  auto concepts = extractor.ExtractConcepts(Tokenize("the batteries die"));
+  auto concepts =
+      extractor.ExtractConcepts(AsViews(Tokenize("the batteries die")));
   ASSERT_EQ(concepts.size(), 1u);
   EXPECT_EQ(concepts[0], onto.FindByName("battery"));
 }
@@ -116,7 +126,8 @@ TEST(DictionaryExtractorTest, StemmedVariantsMatch) {
 TEST(DictionaryExtractorTest, SynonymsResolveToCanonicalConcept) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
-  auto concepts = extractor.ExtractConcepts(Tokenize("the display is dim"));
+  auto concepts =
+      extractor.ExtractConcepts(AsViews(Tokenize("the display is dim")));
   ASSERT_EQ(concepts.size(), 1u);
   EXPECT_EQ(concepts[0], onto.FindByName("screen"));
 }
@@ -125,7 +136,7 @@ TEST(DictionaryExtractorTest, MultipleConceptsInOneSentence) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
   auto concepts = extractor.ExtractConcepts(
-      Tokenize("camera is fine but the speaker crackles"));
+      AsViews(Tokenize("camera is fine but the speaker crackles")));
   std::set<ConceptId> ids(concepts.begin(), concepts.end());
   EXPECT_TRUE(ids.count(onto.FindByName("camera")));
   EXPECT_TRUE(ids.count(onto.FindByName("speaker")));
@@ -135,16 +146,17 @@ TEST(DictionaryExtractorTest, DeduplicatesRepeatedMentions) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
   auto concepts =
-      extractor.ExtractConcepts(Tokenize("camera camera camera"));
+      extractor.ExtractConcepts(AsViews(Tokenize("camera camera camera")));
   EXPECT_EQ(concepts.size(), 1u);
 }
 
 TEST(DictionaryExtractorTest, NoMentionsInUnrelatedText) {
   Ontology onto = BuildCellPhoneHierarchy();
   DictionaryExtractor extractor(&onto);
-  EXPECT_TRUE(
-      extractor.ExtractConcepts(Tokenize("completely unrelated words"))
-          .empty());
+  EXPECT_TRUE(extractor
+                  .ExtractConcepts(
+                      AsViews(Tokenize("completely unrelated words")))
+                  .empty());
 }
 
 // ------------------------------------------------------- DoublePropagation
@@ -235,8 +247,8 @@ TEST(AspectHierarchyTest, ExtractorWorksOverMinedHierarchy) {
       miner.ExtractAspects(PhoneReviewSentences(), SentimentLexicon::Default());
   Ontology onto = BuildAspectHierarchy(aspects, "product");
   DictionaryExtractor extractor(&onto);
-  auto concepts =
-      extractor.ExtractConcepts(Tokenize("the battery life is short"));
+  auto concepts = extractor.ExtractConcepts(
+      AsViews(Tokenize("the battery life is short")));
   ASSERT_FALSE(concepts.empty());
   EXPECT_EQ(concepts[0], onto.FindByName("battery life"));
 }
