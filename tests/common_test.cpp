@@ -264,6 +264,8 @@ TEST(StringsTest, TrimBothEnds) {
 
 TEST(StringsTest, ToLowerAscii) {
   EXPECT_EQ(ToLower("HeLLo 123"), "hello 123");
+  // Bytes outside 'A'-'Z' pass through, UTF-8 sequences included.
+  EXPECT_EQ(ToLower("\xC3\x89T\xC3\xA9-Z"), "\xC3\x89t\xC3\xA9-z");
 }
 
 TEST(StringsTest, StartsEndsWith) {
