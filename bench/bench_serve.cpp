@@ -9,7 +9,7 @@
 // unbounded queue.
 //
 // Every request carries a deadline of kDeadlineFactor x the measured mean
-// solve cost and bypasses the exact-hit cache (a cache-hot benchmark would
+// solve cost and bypasses the cache read (a cache-hot benchmark would
 // measure the cache, not the server), so at 4x the queue cannot hide
 // behind memoization.
 //

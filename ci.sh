@@ -193,11 +193,12 @@ echo "== OSRS_SIMD=OFF build + solver diff + tier-1 solver tests =="
 # proving the dispatch layer, while the default build above proves
 # scalar-vs-AVX2) and the solver-facing suites must stay green.
 # coverage_diff_test proves the folded item graph solves bit-identically
-# to the unfolded one on the scalar backend too.
+# to the unfolded one on the scalar backend too, and serve_test that the
+# server's greedy trajectories answer every k as a direct solve does.
 run_suite build-nosimd -DOSRS_SIMD=OFF
 (cd build-nosimd && \
  ctest --output-on-failure -j "$JOBS" \
-       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|coverage_diff_test')
+       -R 'solver_simd_diff_test|solver_test|local_search_test|weighted_coverage_test|indexed_heap_test|property_test|coverage_diff_test|serve_test')
 
 if [[ "$SKIP_SANITIZERS" == "1" ]]; then
   echo "== sanitizer passes skipped =="

@@ -117,6 +117,32 @@ uint64_t OptionsFingerprint(const ReviewSummarizerOptions& options) {
   return h;
 }
 
+bool IsPrefixClosed(const ReviewSummarizerOptions& options) {
+  auto greedy = [](SummaryAlgorithm algorithm) {
+    return algorithm == SummaryAlgorithm::kGreedy ||
+           algorithm == SummaryAlgorithm::kGreedyLazy;
+  };
+  return greedy(options.algorithm) &&
+         std::all_of(options.fallback_chain.begin(),
+                     options.fallback_chain.end(), greedy) &&
+         !options.auto_epsilon && !options.strict_validation &&
+         options.max_solver_work == 0;
+}
+
+bool TruncateToPrefix(int k, ItemSummary* summary) {
+  const size_t picks = std::min(static_cast<size_t>(std::max(k, 0)),
+                                summary->num_candidates);
+  if (picks == summary->entries.size()) return true;
+  if (picks > summary->entries.size() ||
+      picks >= summary->prefix_costs.size()) {
+    return false;
+  }
+  summary->entries.resize(picks);
+  summary->cost = summary->prefix_costs[picks];
+  summary->prefix_costs.resize(picks + 1);
+  return true;
+}
+
 std::string ItemSummary::ToJson() const {
   std::string warnings_json = "[";
   for (size_t i = 0; i < validation_warnings.size(); ++i) {
@@ -252,8 +278,8 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
     validator.CheckSolverConfig(
         k, epsilon, static_cast<size_t>(item_graph.graph.num_candidates()),
         &strict_report);
-    validator.CheckGroups(item_graph.groups, item_graph.occurrences.size(),
-                          &strict_report);
+    validator.CheckGroups(item_graph.group_begin,
+                          item_graph.occurrences.size(), &strict_report);
     if (!strict_report.ok()) return StrictValidationError(strict_report);
   }
 
@@ -311,6 +337,7 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
 
   ItemSummary summary;
   summary.cost = result.cost;
+  summary.prefix_costs = std::move(result.prefix_costs);
   summary.solver_seconds = result.seconds;
   summary.epsilon = epsilon;
   summary.degraded = degraded;
@@ -326,6 +353,7 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
       static_cast<size_t>(item_graph.graph.num_candidates());
   summary.num_edges = item_graph.graph.num_edges();
 
+  summary.entries.reserve(result.selected.size());
   for (int candidate : result.selected) {
     SummaryEntry entry;
     if (options_.granularity == SummaryGranularity::kPairs) {
@@ -344,11 +372,9 @@ Result<ItemSummary> ReviewSummarizer::Summarize(
       entry.sentence_index = sentence_index;
       const Review& review =
           item.reviews[static_cast<size_t>(review_index)];
-      const auto& members =
-          item_graph.groups[static_cast<size_t>(candidate)];
-      if (!members.empty()) {
-        entry.pair =
-            item_graph.occurrences[static_cast<size_t>(members.front())].pair;
+      const int first = item_graph.group_begin[static_cast<size_t>(candidate)];
+      if (first < item_graph.group_begin[static_cast<size_t>(candidate) + 1]) {
+        entry.pair = item_graph.occurrences[static_cast<size_t>(first)].pair;
       }
       if (options_.granularity == SummaryGranularity::kSentences) {
         entry.display =

@@ -146,6 +146,22 @@ struct ReviewSummarizerOptions {
 /// same item and k.
 uint64_t OptionsFingerprint(const ReviewSummarizerOptions& options);
 
+/// True when every full-budget answer under `options` is a prefix of any
+/// deeper one: the k-pick answer is the first min(k, candidates) picks of
+/// the answer at a depth >= k, at the cost recorded after that many picks
+/// (ItemSummary::prefix_costs), so one deep solve answers every smaller k
+/// bit for bit (TruncateToPrefix). Greedy has this property — each pick of
+/// Algorithm 2, eager or lazy, is the argmax of the marginal gain given
+/// the earlier picks, ties to the smaller id — unless something that
+/// depends on k joins in. So it requires all of:
+///   - `algorithm` and every `fallback_chain` entry greedy or lazy greedy,
+///     so even a degraded answer carries its per-pick costs;
+///   - `auto_epsilon` off: the elbow probe solves at k, so ε depends on k;
+///   - `strict_validation` off: warning OSRS-SLV-002 depends on k;
+///   - `max_solver_work` 0: a deeper solve could trip a work bound that
+///     the k-pick solve would not.
+bool IsPrefixClosed(const ReviewSummarizerOptions& options);
+
 /// One representative in a summary.
 struct SummaryEntry {
   /// Human-readable rendering: "concept = +0.65" for pair granularity, the
@@ -164,6 +180,11 @@ struct ItemSummary {
   std::vector<SummaryEntry> entries;
   /// Definition 2 coverage cost of the selection.
   double cost = 0.0;
+  /// Greedy only: the cost after each pick, [0] being the empty summary
+  /// (SummaryResult::prefix_costs), so TruncateToPrefix can read any
+  /// shorter answer off this one. Empty for the other algorithms; not part
+  /// of ToJson.
+  std::vector<double> prefix_costs;
   /// Solver wall-clock seconds (excludes graph construction).
   double solver_seconds = 0.0;
   /// The ε actually used (differs from the configured one under
@@ -214,6 +235,15 @@ struct ItemSummary {
   /// copies.
   std::string ToJson() const;
 };
+
+/// Reads the k-pick answer off `summary` in place: keeps its first
+/// min(k, num_candidates) entries and takes the cost after that many picks
+/// from `prefix_costs`. Every other field (epsilon, graph sizes, timings,
+/// stats, degraded) stays that of the solve that produced `summary`.
+/// Returns false, leaving `summary` untouched, when it holds fewer picks
+/// than that or lacks their cost; a summary already holding exactly that
+/// many picks is returned as is, whatever algorithm produced it.
+bool TruncateToPrefix(int k, ItemSummary* summary);
 
 /// The library's top-level entry point: reviews of one item in, the k most
 /// representative pairs / sentences / reviews out, using the ontology- and

@@ -15,24 +15,24 @@ CoverageGreedySelector::CoverageGreedySelector(const Ontology* ontology,
 
 Result<std::vector<int>> CoverageGreedySelector::Select(
     const std::vector<CandidateSentence>& sentences, int k) {
-  // Flatten pairs; remember each non-empty sentence as a candidate group.
+  // Flatten pairs; each non-empty sentence is a candidate owning the
+  // contiguous run of its pairs.
   std::vector<ConceptSentimentPair> pairs;
-  std::vector<std::vector<int>> groups;
+  std::vector<int> group_begin;
   std::vector<int> group_to_sentence;
   for (size_t s = 0; s < sentences.size(); ++s) {
     if (sentences[s].pairs.empty()) continue;
-    std::vector<int> member_indices;
-    for (const auto& pair : sentences[s].pairs) {
-      member_indices.push_back(static_cast<int>(pairs.size()));
-      pairs.push_back(pair);
-    }
-    groups.push_back(std::move(member_indices));
+    group_begin.push_back(static_cast<int>(pairs.size()));
+    pairs.insert(pairs.end(), sentences[s].pairs.begin(),
+                 sentences[s].pairs.end());
     group_to_sentence.push_back(static_cast<int>(s));
   }
+  group_begin.push_back(static_cast<int>(pairs.size()));
 
   PairDistance distance(ontology_, epsilon_);
   Result<CoverageGraph> graph = CoverageGraph::TryBuildForGroupsWeighted(
-      distance, pairs, groups, FoldTargets(pairs), CoverageBuildOptions{});
+      distance, pairs, group_begin, FoldTargets(pairs),
+      CoverageBuildOptions{});
   OSRS_RETURN_IF_ERROR(graph.status());
   int effective_k = std::min<int>(k, graph->num_candidates());
   auto result = greedy_.Summarize(*graph, effective_k);

@@ -286,6 +286,50 @@ Status CheckMemoryBudget(const CoverageBuildOptions& options, size_t num_edges,
       options.max_memory_bytes));
 }
 
+/// Pair → owning group for explicit member lists (a pair belongs to at
+/// most one sentence / review); -1 for pairs in no group.
+std::vector<int> GroupOfMembers(const std::vector<std::vector<int>>& groups,
+                                size_t num_pairs) {
+  std::vector<int> group_of(num_pairs, -1);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (int pair_index : groups[g]) {
+      OSRS_DCHECK_GE(pair_index, 0);
+      OSRS_DCHECK_LT(static_cast<size_t>(pair_index), num_pairs);
+      OSRS_DCHECK_MSG(group_of[static_cast<size_t>(pair_index)] == -1,
+                      "pair " << pair_index << " assigned to two groups");
+      group_of[static_cast<size_t>(pair_index)] = static_cast<int>(g);
+    }
+  }
+  return group_of;
+}
+
+/// Pair → owning group for contiguous runs (CheckGroupRuns passed); -1
+/// for pairs outside every run.
+std::vector<int> GroupOfRuns(const std::vector<int>& group_begin,
+                             size_t num_pairs) {
+  std::vector<int> group_of(num_pairs, -1);
+  for (size_t g = 0; g + 1 < group_begin.size(); ++g) {
+    std::fill(group_of.begin() + group_begin[g],
+              group_of.begin() + group_begin[g + 1], static_cast<int>(g));
+  }
+  return group_of;
+}
+
+/// Run offsets must ascend inside [0, num_pairs], or the runs would
+/// overlap or leave the pairs.
+Status CheckGroupRuns(const std::vector<int>& group_begin, size_t num_pairs) {
+  for (size_t g = 0; g < group_begin.size(); ++g) {
+    const int offset = group_begin[g];
+    if (offset < 0 || static_cast<size_t>(offset) > num_pairs ||
+        (g > 0 && offset < group_begin[g - 1])) {
+      return Status::InvalidArgument(StrFormat(
+          "group offset %zu is %d: offsets must ascend within [0, %zu]", g,
+          offset, num_pairs));
+    }
+  }
+  return Status::OK();
+}
+
 /// A weight lane must carry exactly one multiplicity per target.
 Status CheckTargetWeights(const WeightedTargets& targets) {
   if (targets.weights.size() == targets.pairs.size()) return Status::OK();
@@ -313,35 +357,19 @@ template <bool kGrouped>
 Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<std::vector<int>>* groups,
+    const std::vector<int>* group_of, int num_candidates,
     const std::vector<ConceptSentimentPair>& targets,
     const std::vector<double>* target_weights,
     const CoverageBuildOptions& options) {
   obs::TraceSpan build_span(obs::Phase::kBuildCoverageGraph);
-  // Map each pair index to its owning group (a pair belongs to at most one
-  // sentence / review). The identity grouping needs no map: pair u is
-  // candidate u.
-  std::vector<int> group_of;
-  if constexpr (kGrouped) {
-    group_of.assign(pairs.size(), -1);
-    for (size_t g = 0; g < groups->size(); ++g) {
-      for (int pair_index : (*groups)[g]) {
-        OSRS_DCHECK_GE(pair_index, 0);
-        OSRS_DCHECK_LT(static_cast<size_t>(pair_index), pairs.size());
-        OSRS_DCHECK_MSG(group_of[static_cast<size_t>(pair_index)] == -1,
-                        "pair " << pair_index << " assigned to two groups");
-        group_of[static_cast<size_t>(pair_index)] = static_cast<int>(g);
-      }
-    }
-  }
-
+  // The identity grouping needs no map: pair u is candidate u.
+  OSRS_DCHECK(!kGrouped || group_of->size() == pairs.size());
   const ConceptBuckets buckets = BucketByConcept(distance.ontology(), pairs);
   const int num_targets = static_cast<int>(targets.size());
-  const int num_candidates =
-      static_cast<int>(kGrouped ? groups->size() : pairs.size());
   const int num_shards = ResolveNumThreads(options.num_threads, targets.size());
   // Per-shard group scratch; empty for the identity grouping.
-  const size_t group_scratch = kGrouped ? groups->size() : 0;
+  const size_t group_scratch =
+      kGrouped ? static_cast<size_t>(num_candidates) : 0;
 
   // Counting pass: the full closure/window enumeration with degrees as the
   // only output. Nothing is materialized, so the pass reads only the hot
@@ -366,7 +394,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
             [&](int u, int w, double /*weight*/) {
               int c = u;
               if constexpr (kGrouped) {
-                c = group_of[static_cast<size_t>(u)];
+                c = (*group_of)[static_cast<size_t>(u)];
                 if (c < 0) return;  // pair not part of any candidate group
                 if (last_target[static_cast<size_t>(c)] == w) return;
                 last_target[static_cast<size_t>(c)] = w;
@@ -413,7 +441,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
               const float fw = static_cast<float>(weight);
               int c = u;
               if constexpr (kGrouped) {
-                c = group_of[static_cast<size_t>(u)];
+                c = (*group_of)[static_cast<size_t>(u)];
                 if (c < 0) return;
                 if (last_target[static_cast<size_t>(c)] == w) {
                   float& forward_distance = graph.forward_distance_
@@ -453,7 +481,8 @@ CoverageGraph CoverageGraph::BuildForPairs(
   options.num_threads = num_threads;
   // No memory limit and no failpoint on the legacy path, so the impl
   // cannot fail.
-  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr, pairs,
+  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr,
+                                         static_cast<int>(pairs.size()), pairs,
                                          nullptr, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
@@ -465,7 +494,9 @@ CoverageGraph CoverageGraph::BuildForGroups(
     const std::vector<std::vector<int>>& groups, int num_threads) {
   CoverageBuildOptions options;
   options.num_threads = num_threads;
-  auto graph = BuildForGroupsImpl<true>(distance, pairs, &groups, pairs,
+  const std::vector<int> group_of = GroupOfMembers(groups, pairs.size());
+  auto graph = BuildForGroupsImpl<true>(distance, pairs, &group_of,
+                                        static_cast<int>(groups.size()), pairs,
                                         nullptr, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
@@ -478,7 +509,8 @@ CoverageGraph CoverageGraph::BuildForPairsWeighted(
   OSRS_CHECK_EQ(target_weights.size(), pairs.size());
   CoverageBuildOptions options;
   options.num_threads = num_threads;
-  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr, pairs,
+  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr,
+                                         static_cast<int>(pairs.size()), pairs,
                                          &target_weights, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
@@ -490,19 +522,24 @@ Result<CoverageGraph> CoverageGraph::TryBuildForPairsWeighted(
     const WeightedTargets& targets, const CoverageBuildOptions& options) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
   OSRS_RETURN_IF_ERROR(CheckTargetWeights(targets));
-  return BuildForGroupsImpl<false>(distance, pairs, nullptr, targets.pairs,
-                                   &targets.weights, options);
+  return BuildForGroupsImpl<false>(distance, pairs, nullptr,
+                                   static_cast<int>(pairs.size()),
+                                   targets.pairs, &targets.weights, options);
 }
 
 Result<CoverageGraph> CoverageGraph::TryBuildForGroupsWeighted(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<std::vector<int>>& groups,
-    const WeightedTargets& targets, const CoverageBuildOptions& options) {
+    const std::vector<int>& group_begin, const WeightedTargets& targets,
+    const CoverageBuildOptions& options) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
   OSRS_RETURN_IF_ERROR(CheckTargetWeights(targets));
-  return BuildForGroupsImpl<true>(distance, pairs, &groups, targets.pairs,
-                                  &targets.weights, options);
+  OSRS_RETURN_IF_ERROR(CheckGroupRuns(group_begin, pairs.size()));
+  const std::vector<int> group_of = GroupOfRuns(group_begin, pairs.size());
+  const int num_groups =
+      group_begin.empty() ? 0 : static_cast<int>(group_begin.size()) - 1;
+  return BuildForGroupsImpl<true>(distance, pairs, &group_of, num_groups,
+                                  targets.pairs, &targets.weights, options);
 }
 
 namespace {

@@ -188,19 +188,23 @@ class CoverageGraph {
       const std::vector<double>& target_weights, int num_threads = 1);
 
   /// Fallible builders whose target side W is `targets`, given apart from
-  /// the candidate pairs: U is `pairs` (ForPairs) or `groups` of indices
-  /// into `pairs` (ForGroups), and target w contributes
-  /// targets.weights[w] · d(F, w) to the cost. With FoldTargets(pairs)
-  /// this is the exact, smaller form of BuildForPairs/BuildForGroups (same
-  /// candidates, same costs); with targets = {pairs, weights} the ForPairs
-  /// variant is BuildForPairsWeighted. Resource failures surface as Status
+  /// the candidate pairs: U is `pairs` (ForPairs) or contiguous runs of
+  /// `pairs` (ForGroups: candidate c is pairs[group_begin[c],
+  /// group_begin[c + 1]), so `group_begin` holds one offset more than there
+  /// are candidates; pairs outside every run cover nothing), and target w
+  /// contributes targets.weights[w] · d(F, w) to the cost. With
+  /// FoldTargets(pairs) this is the exact, smaller form of
+  /// BuildForPairs/BuildForGroups (same candidates, same costs); with
+  /// targets = {pairs, weights} the ForPairs variant is
+  /// BuildForPairsWeighted. Resource failures surface as Status
   /// instead of crashing: a build whose counting pass predicts more than
   /// `options.max_memory_bytes` of graph storage (weight lane included)
   /// returns kResourceExhausted before allocating, and the
   /// "osrs.coverage.alloc" failpoint (src/fault/failpoint.h) is evaluated
   /// on entry — only here, so callers of the legacy value-returning
   /// builders are never affected by an armed failpoint. A weight count
-  /// that differs from the target count is kInvalidArgument. Every graph
+  /// that differs from the target count, and offsets that decrease or
+  /// leave [0, pairs.size()], are kInvalidArgument. Every graph
   /// built under src/ goes through these; the value-returning builders are
   /// kept as the unfolded reference for tests and benches.
   static Result<CoverageGraph> TryBuildForPairsWeighted(
@@ -210,8 +214,8 @@ class CoverageGraph {
   static Result<CoverageGraph> TryBuildForGroupsWeighted(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<std::vector<int>>& groups,
-      const WeightedTargets& targets, const CoverageBuildOptions& options);
+      const std::vector<int>& group_begin, const WeightedTargets& targets,
+      const CoverageBuildOptions& options);
 
   /// Bytes of heap storage this graph's vectors occupy (capacity-exact for
   /// a freshly built graph). The same formula the TryBuild* memory gate
@@ -281,17 +285,18 @@ class CoverageGraph {
  private:
   /// The one enumeration-and-scatter implementation behind every builder,
   /// legacy Build* (infallible, no limit) and TryBuild* (memory-gated)
-  /// alike. Candidates are `groups` over `pairs`, or — the identity
-  /// grouping (kGrouped false, `groups` null) — the pairs themselves, with
-  /// no singleton groups materialized; targets are `targets`, weighted by
-  /// `target_weights` unless that is null. The gate runs between the
-  /// counting and scatter passes, where the exact edge total is known but
-  /// nothing has been allocated yet.
+  /// alike. Candidates are the `num_candidates` groups over `pairs` given
+  /// by the pair → group map `group_of` (-1 = in no group), or — the
+  /// identity grouping (kGrouped false, `group_of` null) — the pairs
+  /// themselves, with no singleton groups materialized; targets are
+  /// `targets`, weighted by `target_weights` unless that is null. The gate
+  /// runs between the counting and scatter passes, where the exact edge
+  /// total is known but nothing has been allocated yet.
   template <bool kGrouped>
   static Result<CoverageGraph> BuildForGroupsImpl(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<std::vector<int>>* groups,
+      const std::vector<int>* group_of, int num_candidates,
       const std::vector<ConceptSentimentPair>& targets,
       const std::vector<double>* target_weights,
       const CoverageBuildOptions& options);

@@ -7,10 +7,10 @@ namespace osrs {
 namespace {
 
 /// Fills everything but `graph`: occurrences, and for sentence/review
-/// granularity the candidate groups. Returns the item's pairs (the multiset
-/// the W side folds).
-/// CollectPairs emits pairs in reading order, so each group is a
-/// contiguous run of consecutive occurrences.
+/// granularity the candidate runs and their origins. Returns the item's
+/// pairs (the multiset the W side folds). Every vector is sized before it
+/// is filled: a solve on a worker that sat idle pays for each allocation
+/// and page it touches.
 std::vector<ConceptSentimentPair> PrepareItemGraph(
     const Item& item, SummaryGranularity granularity, ItemGraph& out) {
   out.granularity = granularity;
@@ -18,26 +18,28 @@ std::vector<ConceptSentimentPair> PrepareItemGraph(
   std::vector<ConceptSentimentPair> pairs = PairsOf(out.occurrences);
   if (granularity == SummaryGranularity::kPairs) return pairs;
 
-  int current_review = -1;
-  int current_sentence = -1;
-  for (size_t i = 0; i < out.occurrences.size(); ++i) {
+  const bool sentences = granularity == SummaryGranularity::kSentences;
+  auto starts_run = [&](size_t i) {
+    if (i == 0) return true;
+    const PairOccurrence& prev = out.occurrences[i - 1];
     const PairOccurrence& occ = out.occurrences[i];
-    bool new_group =
-        granularity == SummaryGranularity::kSentences
-            ? (occ.review_index != current_review ||
-               occ.sentence_index != current_sentence)
-            : (occ.review_index != current_review);
-    if (new_group) {
-      out.groups.emplace_back();
-      out.group_origin.emplace_back(
-          occ.review_index,
-          granularity == SummaryGranularity::kSentences ? occ.sentence_index
-                                                        : -1);
-      current_review = occ.review_index;
-      current_sentence = occ.sentence_index;
-    }
-    out.groups.back().push_back(static_cast<int>(i));
+    return occ.review_index != prev.review_index ||
+           (sentences && occ.sentence_index != prev.sentence_index);
+  };
+  size_t num_groups = 0;
+  for (size_t i = 0; i < out.occurrences.size(); ++i) {
+    if (starts_run(i)) ++num_groups;
   }
+  out.group_begin.reserve(num_groups + 1);
+  out.group_origin.reserve(num_groups);
+  for (size_t i = 0; i < out.occurrences.size(); ++i) {
+    if (!starts_run(i)) continue;
+    const PairOccurrence& occ = out.occurrences[i];
+    out.group_begin.push_back(static_cast<int>(i));
+    out.group_origin.emplace_back(occ.review_index,
+                                  sentences ? occ.sentence_index : -1);
+  }
+  out.group_begin.push_back(static_cast<int>(out.occurrences.size()));
   return pairs;
 }
 
@@ -56,7 +58,7 @@ Result<ItemGraph> TryBuildItemGraph(const PairDistance& distance,
           ? CoverageGraph::TryBuildForPairsWeighted(distance, pairs, targets,
                                                     options)
           : CoverageGraph::TryBuildForGroupsWeighted(distance, pairs,
-                                                     out.groups, targets,
+                                                     out.group_begin, targets,
                                                      options);
   OSRS_RETURN_IF_ERROR(graph.status());
   out.graph = std::move(graph).value();

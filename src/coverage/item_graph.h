@@ -18,9 +18,12 @@ struct ItemGraph {
   /// The item's pairs in reading order. The graph's W side is these pairs
   /// folded into weighted targets (see TryBuildItemGraph).
   std::vector<PairOccurrence> occurrences;
-  /// For sentence/review granularity: member pair indices per candidate.
-  /// Empty for pair granularity (candidates are the pairs themselves).
-  std::vector<std::vector<int>> groups;
+  /// For sentence/review granularity: candidate c is the contiguous run
+  /// occurrences[group_begin[c], group_begin[c + 1]) — CollectPairs emits
+  /// pairs in reading order, so a sentence's (review's) pairs are
+  /// consecutive. num_candidates + 1 offsets; empty for pair granularity
+  /// (candidates are the pairs themselves).
+  std::vector<int> group_begin;
   /// For sentence/review granularity: (review index, sentence index) of
   /// each candidate; sentence index is -1 at review granularity.
   std::vector<std::pair<int, int>> group_origin;
@@ -33,7 +36,7 @@ struct ItemGraph {
 ///
 /// The target side is folded (FoldTargets): pairs with equal concept and
 /// equal sentiment share one target weighted by their multiplicity, in
-/// first-occurrence order. Candidates, `groups`, `group_origin` and
+/// first-occurrence order. Candidates, `group_begin`, `group_origin` and
 /// `occurrences` are exactly those of the unfolded graph, and every
 /// selection costs the same in both, so greedy and local search pick the
 /// same selection bit for bit; exact solvers may break ties between

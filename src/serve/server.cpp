@@ -96,16 +96,22 @@ std::string ServerCounters::ToJson() const {
 }
 
 /// One in-flight solve plus every request attached to it. The first
-/// request for a given (item, epoch, options, k) creates the flight and
-/// donates its budget; later requests attach under mutex_ and simply wait.
-/// A flight is removed from the coalescing map before its waiters are
-/// woken, so no request can attach to an already-completed flight.
+/// request for a given (item, version, options, depth) creates the flight
+/// and donates its budget; later requests attach under mutex_ and simply
+/// wait. A flight is removed from the coalescing map before its waiters
+/// are woken, so no request can attach to an already-completed flight.
 struct SummaryServer::Flight {
   std::string coalesce_key;
   CacheKey cache_key;
-  /// The item version current at cache_key.epoch (read with the epoch in
-  /// one items_mutex_ section). The solve uses it, not the map entry, so
-  /// an UpdateItem that lands while the flight queues cannot leak in.
+  /// The corpus epoch the leader was admitted at, reported on its answer.
+  uint64_t epoch = 0;
+  /// The k the solve runs to: the leader's k, or for a trajectory the
+  /// item's largest k since boot. Every attached request asks for at most
+  /// this many picks.
+  int depth = 0;
+  /// The item snapshot of cache_key.version (read with it in one
+  /// items_mutex_ section). The solve uses it, not the map entry, so an
+  /// UpdateItem that lands while the flight queues cannot leak in.
   std::shared_ptr<const Item> item;
   ExecutionBudget budget;
   Stopwatch queued;  // reset at enqueue; read at dequeue for queue_ms
@@ -137,6 +143,7 @@ SummaryServer::SummaryServer(const Ontology* ontology, std::vector<Item> items,
     : ontology_(ontology),
       options_(std::move(options)),
       options_fingerprint_(OptionsFingerprint(options_.summarizer)),
+      prefix_closed_(IsPrefixClosed(options_.summarizer)),
       num_workers_(ResolveWorkerCount(options_.num_threads)),
       cache_(options_.cache_capacity),
       solve_cost_(LatencyBounds()),
@@ -145,10 +152,14 @@ SummaryServer::SummaryServer(const Ontology* ontology, std::vector<Item> items,
   // must already see the committed durable state.
   if (!options_.state_dir.empty()) RecoverState(&items);
   {
+    // The cache starts empty, so every item can start at the recovered
+    // epoch as its version: nothing durable records per-item versions.
     MutexLock lock(items_mutex_);
+    const uint64_t boot_version = epoch_.value();
     for (Item& item : items) {
       std::string id = item.id;
-      items_[std::move(id)] = std::make_shared<const Item>(std::move(item));
+      items_[std::move(id)] = ItemState{
+          std::make_shared<const Item>(std::move(item)), boot_version, 0};
     }
   }
   // First boot (or first boot with a fresh state dir): make the initial
@@ -232,7 +243,9 @@ store::SnapshotData SummaryServer::CaptureState() {
   {
     MutexLock lock(items_mutex_);
     state.items.reserve(items_.size());
-    for (const auto& [id, item] : items_) state.items.push_back(*item);
+    for (const auto& [id, served] : items_) {
+      state.items.push_back(*served.item);
+    }
   }
   state.epoch = epoch_.value();
   return state;
@@ -267,7 +280,14 @@ void SummaryServer::JournalMutation(const Item* item, uint64_t epoch_after) {
 
 uint64_t SummaryServer::BumpEpoch() {
   MutexLock mutation_lock(mutation_mutex_);
-  uint64_t next = epoch_.Bump();
+  uint64_t next = 0;
+  {
+    // Bump and record under the lock requests read versions in, so no
+    // reader pairs the new epoch with the old versions.
+    MutexLock lock(items_mutex_);
+    next = epoch_.Bump();
+    last_bump_ = next;
+  }
   {
     MutexLock lock(counters_mutex_);
     ++counters_.epoch_bumps;
@@ -281,11 +301,13 @@ void SummaryServer::UpdateItem(Item item) {
   auto snapshot = std::make_shared<const Item>(std::move(item));
   uint64_t next = 0;
   {
-    // Swap and bump under one lock, so no reader pairs the new version
-    // with the old epoch (or the reverse).
+    // Swap, bump and version under one lock, so no reader pairs the new
+    // item with the old epoch or version (or the reverse).
     MutexLock lock(items_mutex_);
-    items_[snapshot->id] = snapshot;
     next = epoch_.Bump();
+    ItemState& served = items_[snapshot->id];
+    served.item = snapshot;
+    served.version = next;
   }
   {
     MutexLock lock(counters_mutex_);
@@ -395,14 +417,25 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         StrFormat("k must be >= 0, got %d", request.k)));
   }
 
-  // UpdateItem swaps and bumps under this lock, so `item` is exactly the
-  // version at `epoch_now`.
+  // UpdateItem swaps, versions and bumps under this lock, and BumpEpoch
+  // records its bump here, so `item` is exactly the snapshot current at
+  // `epoch_now` and `version` names it.
   std::shared_ptr<const Item> item;
   uint64_t epoch_now = 0;
+  uint64_t version = 0;
+  int depth = request.k;
   {
     MutexLock lock(items_mutex_);
     auto it = items_.find(request.item_id);
-    if (it != items_.end()) item = it->second;
+    if (it != items_.end()) {
+      ItemState& served = it->second;
+      item = served.item;
+      version = std::max(served.version, last_bump_);
+      if (prefix_closed_) {
+        served.max_k = std::max(served.max_k, request.k);
+        depth = served.max_k;
+      }
+    }
     epoch_now = epoch_.value();
   }
   if (item == nullptr) {
@@ -416,15 +449,17 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
   ExecutionBudget budget;
   if (deadline_ms > 0.0) budget.SetDeadlineMs(deadline_ms);
 
-  CacheKey key{request.item_id, epoch_now, options_fingerprint_, request.k};
+  // A trajectory answers every k up to its depth, so its key has no k.
+  CacheKey key{request.item_id, version, options_fingerprint_,
+               prefix_closed_ ? 0 : request.k};
 
-  // Exact cache read. A cache failpoint injection means the cache is
-  // unavailable, never that the request fails: degrade to a miss.
+  // Cache read at this version. A cache failpoint injection means the
+  // cache is unavailable, never that the request fails: degrade to a miss.
   if (!request.bypass_cache) {
     size_t probe_span = trace.BeginSpan(obs::RequestSpanKind::kCacheProbe);
     Status cache_status = OSRS_FAILPOINT("osrs.serve.cache");
     ItemSummary cached;
-    bool hit = cache_status.ok() && cache_.Lookup(key, &cached);
+    bool hit = cache_status.ok() && cache_.Lookup(key, request.k, &cached);
     trace.EndSpan(probe_span);
     if (hit) {
       {
@@ -450,9 +485,8 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
   int64_t attach_ns = 0;  // offset into the leader's trace at attach time
   std::string coalesce_key =
       StrFormat("%s\x1f%llu\x1f%llx\x1f%d", request.item_id.c_str(),
-                static_cast<unsigned long long>(epoch_now),
-                static_cast<unsigned long long>(options_fingerprint_),
-                request.k);
+                static_cast<unsigned long long>(version),
+                static_cast<unsigned long long>(options_fingerprint_), depth);
   size_t admission_span = trace.BeginSpan(obs::RequestSpanKind::kAdmission);
   {
     ReleasableMutexLock lock(mutex_);
@@ -511,6 +545,8 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
       flight = std::make_shared<Flight>();
       flight->coalesce_key = coalesce_key;
       flight->cache_key = std::move(key);
+      flight->epoch = epoch_now;
+      flight->depth = depth;
       flight->item = item;
       flight->budget = budget;
       flight->queued.Reset();
@@ -542,9 +578,15 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
     while (!flight->done) flight->cv.Wait(flight->mutex);
     response = flight->response;
   }
+  // The flight answered at its depth; each request, the leader included,
+  // reads its own k off that answer. A no-op unless the flight solved a
+  // deeper trajectory, and a degraded answer too shallow for k stays
+  // whole.
+  if (response.status.ok()) TruncateToPrefix(request.k, &response.summary);
   if (attached) {
     if (response.outcome == ServeOutcome::kSolved) {
       response.outcome = ServeOutcome::kCoalesced;
+      response.epoch = epoch_now;
     }
     // The follower shares the leader's span tree (solve span included)
     // but keeps its own identity: restamp the ids and append the wait on
@@ -628,7 +670,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
 
   ServeResponse response;
   response.queue_ms = queue_ms;
-  response.epoch = flight->cache_key.epoch;
+  response.epoch = flight->epoch;
 
   // Deadline-aware shedding: when what is left of the request's budget
   // cannot plausibly fund a solve (observed p50 x safety factor), starting
@@ -674,7 +716,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
   Stopwatch solve_watch;
   size_t solve_span = flight->trace.BeginSpan(obs::RequestSpanKind::kSolve);
   Result<ItemSummary> solved =
-      GuardedSolve(*flight->item, flight->cache_key.k, budget);
+      GuardedSolve(*flight->item, flight->depth, budget);
   flight->trace.EndSpan(solve_span);
   worker_state.solve_start_ns.store(-1, std::memory_order_release);
   double solve_ms = solve_watch.ElapsedMillis();
@@ -700,9 +742,9 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
                  {"stop_reason", StatusCodeToString(solved->stop_reason)},
                  {"solve_ms", solve_ms});
     }
-    // Only full-budget answers enter the cache — the exact-hit
-    // bit-identity contract depends on it. A cache failpoint injection
-    // skips the insert (cache unavailable), nothing else.
+    // Only full-budget answers enter the cache — the hit bit-identity
+    // contract depends on it. A cache failpoint injection skips the
+    // insert (cache unavailable), nothing else.
     if (!solved->degraded) {
       if (OSRS_FAILPOINT("osrs.serve.cache").ok()) {
         cache_.Insert(flight->cache_key, *solved);
@@ -740,21 +782,20 @@ bool SummaryServer::TryServeStale(Flight& flight, ServeResponse* response) {
   obs::RequestSpanScope scope(&flight.trace,
                               obs::RequestSpanKind::kStaleFallback);
   ItemSummary stale;
-  uint64_t stale_epoch = 0;
-  if (!cache_.LookupLatest(flight.cache_key.item_id,
-                           flight.cache_key.options_fingerprint,
-                           flight.cache_key.k, &stale, &stale_epoch)) {
+  uint64_t stale_version = 0;
+  if (!cache_.LookupLatest(flight.cache_key, flight.depth, &stale,
+                           &stale_version)) {
     return false;
   }
   OSRS_LOG_T(slog::Level::kWarn, "serve", flight.trace.context.trace_id,
              "serving stale summary", {"item", flight.cache_key.item_id},
-             {"stale_epoch", stale_epoch},
-             {"current_epoch", flight.cache_key.epoch});
+             {"stale_version", stale_version},
+             {"current_version", flight.cache_key.version});
   response->status = Status::OK();
   response->summary = std::move(stale);
   response->summary.degraded = true;
   response->degraded = true;
-  response->epoch = stale_epoch;
+  response->epoch = stale_version;
   response->outcome = ServeOutcome::kDegraded;
   return true;
 }
@@ -872,7 +913,7 @@ void SummaryServer::Stop() {
     ServeResponse response;
     response.status = Status::Unavailable("server stopped before the solve");
     response.outcome = ServeOutcome::kFailed;
-    response.epoch = flight->cache_key.epoch;
+    response.epoch = flight->epoch;
     CompleteFlight(flight, std::move(response));
   }
   for (std::thread& worker : workers) {

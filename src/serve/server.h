@@ -16,15 +16,22 @@
 //     (kResourceExhausted) instead of starting a doomed solve, unless a
 //     degraded answer is available;
 //   * single-flight coalescing — concurrent requests for the same
-//     (item, epoch, options, k) attach to one in-flight solve and all
-//     receive its result, so a hot item costs one solve;
+//     (item, item version, options, depth) attach to one in-flight solve
+//     and each receives its own k's answer from it, so a hot item costs
+//     one solve;
 //   * graceful degradation — when over budget or when a solve fails
-//     transiently, the server answers with the cached previous-epoch
+//     transiently, the server answers with the item's newest cached
 //     summary (flagged degraded) rather than erroring, when one exists.
 //
-// Results are cached in a bounded LRU keyed by (item, corpus epoch,
-// options fingerprint, k); BumpEpoch() invalidates the whole corpus
-// generation in O(1) without touching entries. Failpoints
+// Results are cached in a bounded LRU keyed by (item, item version,
+// options fingerprint, k or trajectory). An item's version is the epoch
+// of its last UpdateItem or of the last BumpEpoch, whichever is later, so
+// a write invalidates only that item's summaries and BumpEpoch every
+// item's, both in O(1) without touching entries. Under prefix-closed
+// options (IsPrefixClosed: greedy) one trajectory per item version
+// answers every k from its prefix: a solve runs to depth
+// max(k, largest k the item was asked for since boot), and reads of any
+// smaller k hit it or coalesce onto its flight. Failpoints
 // osrs.serve.{admit,solve,cache} let the chaos suite drive every path;
 // an exception escaping a solve (injected bad_alloc included) is isolated
 // to that request — the process never dies.
@@ -115,7 +122,7 @@ struct ServeRequest {
   /// Wall-clock budget for this request (queue wait included); <= 0 uses
   /// ServeOptions::default_deadline_ms.
   double deadline_ms = 0.0;
-  /// Skip the exact-hit cache read (the result is still inserted).
+  /// Skip the cache read (the result is still inserted).
   bool bypass_cache = false;
 };
 
@@ -123,7 +130,7 @@ struct ServeRequest {
 /// (DESIGN.md): every request ends in exactly one of these.
 enum class ServeOutcome {
   kRejected,   // admission control refused it (kResourceExhausted)
-  kCacheHit,   // exact current-epoch cache hit
+  kCacheHit,   // hit on the item's current version or its trajectory
   kCoalesced,  // attached to another request's in-flight solve
   kSolved,     // a fresh solve (possibly internally degraded by budget)
   kDegraded,   // answered with a stale cached summary, flagged degraded
@@ -139,11 +146,12 @@ struct ServeResponse {
   ItemSummary summary;  // default-constructed on error
   ServeOutcome outcome = ServeOutcome::kFailed;
   /// True when `summary` is not a fresh full-budget answer: either the
-  /// solve degraded internally (summary.degraded) or a stale epoch was
+  /// solve degraded internally (summary.degraded) or a stale version was
   /// served. Mirrored into summary.degraded.
   bool degraded = false;
-  /// Corpus epoch the summary was solved under (== epoch at submit time
-  /// for fresh solves; older for stale degraded answers).
+  /// Corpus epoch at which `summary` is the current item's answer: the
+  /// epoch at submit time for hits, coalesced answers and fresh solves;
+  /// the cached summary's item version for stale degraded answers.
   uint64_t epoch = 0;
   double queue_ms = 0.0;  // admission to dequeue (0 for cache hits)
   double total_ms = 0.0;  // Serve() entry to return
@@ -171,7 +179,7 @@ struct ServerCounters {
   int64_t failed = 0;
   int64_t coalesced = 0;   // waiters that attached to an in-flight solve
   int64_t solves = 0;      // solver invocations (not per-request)
-  int64_t cache_hits = 0;  // exact-epoch hits
+  int64_t cache_hits = 0;  // hits on the current version or a trajectory
   int64_t degraded = 0;    // responses with degraded == true
   int64_t epoch_bumps = 0;
   int64_t watchdog_stalls = 0;  // solves cancelled by the stall watchdog
@@ -199,19 +207,21 @@ class SummaryServer {
   ServeResponse Serve(const ServeRequest& request)
       OSRS_EXCLUDES(mutex_, items_mutex_, counters_mutex_, cost_mutex_);
 
-  /// Invalidates every cached summary by advancing the corpus epoch —
-  /// O(1), no cache traversal. In-flight solves complete under the epoch
-  /// they started with and cache as already-stale entries. With
-  /// persistence on, the bump is journaled before this returns.
+  /// Invalidates every cached summary by advancing the corpus epoch, which
+  /// becomes every item's version — O(1), no cache traversal. In-flight
+  /// solves complete under the version they started with and cache as
+  /// already-stale entries. With persistence on, the bump is journaled
+  /// before this returns.
   uint64_t BumpEpoch()
       OSRS_EXCLUDES(mutation_mutex_, items_mutex_, counters_mutex_);
   uint64_t epoch() const { return epoch_.value(); }
 
-  /// Replaces (or adds) one item and bumps the epoch — the minimal
-  /// "reviews arrived" mutation the future incremental engine will do
-  /// in-place. Swap and bump are one step to readers: a request sees the
-  /// old item at the old epoch or the new item at the new one, and solves
-  /// the version it saw even if this lands while it queues. With
+  /// Replaces (or adds) one item, bumps the epoch and makes the new epoch
+  /// that item's version, so only its cached summaries go stale — the
+  /// minimal "reviews arrived" mutation the future incremental engine will
+  /// do in-place. Swap and bump are one step to readers: a request sees
+  /// the old item at the old epoch or the new item at the new one, and
+  /// solves the version it saw even if this lands while it queues. With
   /// persistence on, the mutation is journaled (committed per the fsync
   /// policy) before this returns.
   void UpdateItem(Item item)
@@ -265,6 +275,16 @@ class SummaryServer {
  private:
   struct Flight;
 
+  /// One served item: its current snapshot, its version (the epoch of its
+  /// last write; the recovered epoch at boot) and, for prefix-closed
+  /// options, the largest k it was asked for since boot — the depth its
+  /// trajectories are solved to.
+  struct ItemState {
+    std::shared_ptr<const Item> item;
+    uint64_t version = 0;
+    int max_k = 0;
+  };
+
   /// Per-worker progress the watchdog samples. The solve start time is a
   /// nanosecond offset on the shared watchdog clock (-1 = idle);
   /// `generation` increments per solve so the watchdog fires at most once
@@ -305,22 +325,29 @@ class SummaryServer {
   Result<ItemSummary> GuardedSolve(const Item& item, int k,
                                    const ExecutionBudget& budget);
   /// Stale-cache fallback; returns true and fills `response` when a
-  /// degraded answer exists and policy allows serving it. Records a
-  /// kStaleFallback span on the flight's trace either way.
+  /// degraded answer at the flight's depth exists and policy allows
+  /// serving it. Records a kStaleFallback span on the flight's trace
+  /// either way.
   bool TryServeStale(Flight& flight, ServeResponse* response);
 
   const Ontology* ontology_;
   const ServeOptions options_;
   const uint64_t options_fingerprint_;
+  /// IsPrefixClosed(options_.summarizer): cache one trajectory per item
+  /// version instead of one entry per k.
+  const bool prefix_closed_;
   /// Fixed at construction (immutable thereafter, so admission may read
   /// it without a lock).
   const int num_workers_;
 
   /// Immutable snapshots so a worker can solve against an item while
   /// UpdateItem swaps the map entry underneath it.
-  mutable Mutex items_mutex_;  // UpdateItem vs worker reads
-  std::unordered_map<std::string, std::shared_ptr<const Item>> items_
+  mutable Mutex items_mutex_;  // UpdateItem/BumpEpoch vs request reads
+  std::unordered_map<std::string, ItemState> items_
       OSRS_GUARDED_BY(items_mutex_);
+  /// The epoch of the last BumpEpoch, recorded in the section that bumps
+  /// it; a request's version is max(item version, last_bump_).
+  uint64_t last_bump_ OSRS_GUARDED_BY(items_mutex_) = 0;
 
   CorpusEpoch epoch_;
   SummaryCache cache_;

@@ -13,7 +13,7 @@ size_t SummaryCache::KeyHash::operator()(const CacheKey& key) const {
     h ^= std::hash<uint64_t>{}(value) + 0x9E3779B97F4A7C15ull + (h << 6) +
          (h >> 2);
   };
-  mix(key.epoch);
+  mix(key.version);
   mix(key.options_fingerprint);
   mix(static_cast<uint64_t>(key.k));
   return h;
@@ -28,28 +28,33 @@ std::string SummaryCache::LatestIndexKey(const std::string& item_id,
 
 SummaryCache::SummaryCache(size_t capacity) : capacity_(capacity) {}
 
-bool SummaryCache::Lookup(const CacheKey& key, ItemSummary* out) {
+bool SummaryCache::Lookup(const CacheKey& key, int k, ItemSummary* out) {
   MutexLock lock(mutex_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return false;
+  if (it != index_.end()) {
+    ItemSummary answer = it->second->summary;
+    if (TruncateToPrefix(k, &answer)) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++stats_.hits;
+      *out = std::move(answer);
+      return true;
+    }
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  *out = it->second->summary;
-  return true;
+  ++stats_.misses;
+  return false;
 }
 
-bool SummaryCache::LookupLatest(const std::string& item_id,
-                                uint64_t options_fingerprint, int k,
-                                ItemSummary* out, uint64_t* epoch_out) {
+bool SummaryCache::LookupLatest(const CacheKey& key, int k, ItemSummary* out,
+                                uint64_t* version_out) {
   MutexLock lock(mutex_);
-  auto it = latest_.find(LatestIndexKey(item_id, options_fingerprint, k));
+  auto it =
+      latest_.find(LatestIndexKey(key.item_id, key.options_fingerprint, key.k));
   if (it == latest_.end()) return false;
+  ItemSummary answer = it->second->summary;
+  if (!TruncateToPrefix(k, &answer)) return false;
   ++stats_.stale_hits;
-  *out = it->second->summary;
-  *epoch_out = it->second->key.epoch;
+  *out = std::move(answer);
+  *version_out = it->second->key.version;
   return true;
 }
 
@@ -59,8 +64,10 @@ void SummaryCache::Insert(const CacheKey& key, const ItemSummary& summary) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     // Refresh in place (a coalesced flight may insert what a racing
-    // request already cached).
-    it->second->summary = summary;
+    // request already cached, or a deeper trajectory of the same version).
+    if (summary.entries.size() >= it->second->summary.entries.size()) {
+      it->second->summary = summary;
+    }
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -70,8 +77,12 @@ void SummaryCache::Insert(const CacheKey& key, const ItemSummary& summary) {
   }
   lru_.push_front(Entry{key, summary});
   index_.emplace(key, lru_.begin());
-  latest_[LatestIndexKey(key.item_id, key.options_fingerprint, key.k)] =
-      lru_.begin();
+  auto [latest, inserted] = latest_.try_emplace(
+      LatestIndexKey(key.item_id, key.options_fingerprint, key.k),
+      lru_.begin());
+  if (!inserted && latest->second->key.version < key.version) {
+    latest->second = lru_.begin();
+  }
   ++stats_.inserts;
 }
 

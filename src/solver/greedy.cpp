@@ -172,6 +172,9 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
 
   SummaryResult result;
   result.cost = graph.EmptySummaryCost();
+  result.selected.reserve(static_cast<size_t>(k));
+  result.prefix_costs.reserve(static_cast<size_t>(k) + 1);
+  result.prefix_costs.push_back(result.cost);
   int64_t key_updates = 0;
   int64_t heap_pops = 0;
 
@@ -248,6 +251,7 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
       pending_delta[static_cast<size_t>(candidate)] = 0.0;
       ++key_updates;
     }
+    result.prefix_costs.push_back(result.cost);
   }
 
   obs::TraceStat(obs::Stat::kHeapPops, heap_pops);
@@ -300,6 +304,9 @@ Result<SummaryResult> GreedySummarizer::SummarizeLazy(
 
   SummaryResult result;
   result.cost = graph.EmptySummaryCost();
+  result.selected.reserve(static_cast<size_t>(k));
+  result.prefix_costs.reserve(static_cast<size_t>(k) + 1);
+  result.prefix_costs.push_back(result.cost);
   int64_t recomputes = 0;
   int64_t heap_pops = 0;
 
@@ -333,6 +340,7 @@ Result<SummaryResult> GreedySummarizer::SummarizeLazy(
         result.cost -= simd::ApplyPickMin(edges.endpoint, edges.distance,
                                           edges.size, best.data(),
                                           graph.target_weights_or_null());
+        result.prefix_costs.push_back(result.cost);
         break;
       }
       heap.Push({fresh, u});

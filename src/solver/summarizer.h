@@ -31,6 +31,13 @@ struct SummaryResult {
   /// when `approximate` is set; kOk for a complete run. Cancellation never
   /// yields a result — it surfaces as a kCancelled Status instead.
   StatusCode stop_reason = StatusCode::kOk;
+  /// Greedy only: the cost after each pick, [0] being the empty summary,
+  /// so prefix_costs[i] is the cost of selected[0..i) and the last element
+  /// equals `cost`. Greedy is prefix-closed — its first i picks at any
+  /// depth are its i-pick answer, costed by the same floating-point
+  /// sequence — so prefix_costs[i] is bit-identical to a direct i-pick
+  /// solve's `cost`. Empty for solvers without a pick order.
+  std::vector<double> prefix_costs;
 };
 
 /// Common interface of the paper's three algorithms (§4) and the exact

@@ -328,29 +328,22 @@ void ModelValidator::CheckItems(const std::vector<Item>& items,
   }
 }
 
-void ModelValidator::CheckGroups(const std::vector<std::vector<int>>& groups,
+void ModelValidator::CheckGroups(const std::vector<int>& group_begin,
                                  size_t num_pairs,
                                  ValidationReport* report) const {
-  std::vector<int> owner(num_pairs, -1);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (int member : groups[g]) {
-      const std::string location = StrFormat("group %zu", g);
-      if (member < 0 || static_cast<size_t>(member) >= num_pairs) {
-        report->AddError(
-            "OSRS-CRP-009", location,
-            StrFormat("group member index %d outside [0, %zu)", member,
-                      num_pairs));
-        continue;
-      }
-      int& current = owner[static_cast<size_t>(member)];
-      if (current != -1) {
-        report->AddError(
-            "OSRS-CRP-010", location,
-            StrFormat("pair %d belongs to both group %d and group %zu",
-                      member, current, g));
-      } else {
-        current = static_cast<int>(g);
-      }
+  for (size_t g = 0; g < group_begin.size(); ++g) {
+    const int offset = group_begin[g];
+    const std::string location = StrFormat("group offset %zu", g);
+    if (offset < 0 || static_cast<size_t>(offset) > num_pairs) {
+      report->AddError("OSRS-CRP-009", location,
+                       StrFormat("group offset %d outside [0, %zu]", offset,
+                                 num_pairs));
+    } else if (g > 0 && offset < group_begin[g - 1]) {
+      report->AddError(
+          "OSRS-CRP-010", location,
+          StrFormat("group %zu starts at pair %d, inside group %zu, which "
+                    "starts at pair %d",
+                    g, offset, g - 1, group_begin[g - 1]));
     }
   }
 }

@@ -102,11 +102,12 @@ class ModelValidator {
   void CheckItems(const std::vector<Item>& items, size_t num_concepts,
                   ValidationReport* report) const;
 
-  /// Sentence/review grouping integrity (the ItemGraph::groups contract):
-  /// member indices must lie in [0, num_pairs) (OSRS-CRP-009) and no pair
-  /// may belong to two groups (OSRS-CRP-010).
-  void CheckGroups(const std::vector<std::vector<int>>& groups,
-                   size_t num_pairs, ValidationReport* report) const;
+  /// Sentence/review grouping integrity (the ItemGraph::group_begin
+  /// contract: candidate c owns pairs [group_begin[c], group_begin[c + 1])):
+  /// every offset must lie in [0, num_pairs] (OSRS-CRP-009), and offsets
+  /// must not decrease, or the runs would share pairs (OSRS-CRP-010).
+  void CheckGroups(const std::vector<int>& group_begin, size_t num_pairs,
+                   ValidationReport* report) const;
 
   // -- Solver preconditions -------------------------------------------------
 

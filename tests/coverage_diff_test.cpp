@@ -239,6 +239,27 @@ std::vector<std::vector<int>> RandomGroups(Rng& rng, size_t num_pairs) {
   return groups;
 }
 
+/// Offsets of contiguous groups: group g owns [begin[g], begin[g + 1]).
+std::vector<int> RunOffsets(const std::vector<std::vector<int>>& groups) {
+  std::vector<int> begin;
+  for (const std::vector<int>& group : groups) begin.push_back(group.front());
+  begin.push_back(groups.empty() ? 0 : groups.back().back() + 1);
+  return begin;
+}
+
+/// Member lists of the runs `group_begin` describes (ItemGraph form), for
+/// the unfolded reference builder.
+std::vector<std::vector<int>> RunMembers(const std::vector<int>& group_begin) {
+  std::vector<std::vector<int>> groups;
+  for (size_t g = 0; g + 1 < group_begin.size(); ++g) {
+    groups.emplace_back();
+    for (int i = group_begin[g]; i < group_begin[g + 1]; ++i) {
+      groups.back().push_back(i);
+    }
+  }
+  return groups;
+}
+
 // ---------------------------------------------------------------------------
 // Tests.
 
@@ -285,6 +306,16 @@ TEST(CoverageDiffTest, GroupsMatchNaiveReferenceRandomized) {
       ASSERT_EQ(graph.num_candidates(), static_cast<int>(groups.size()));
       ASSERT_EQ(graph.num_targets(), num_pairs);
       ExpectEdgesEqual(expected, graph, "groups");
+      // The same groups as contiguous runs, over unit-weight targets: the
+      // offsets path builds the same edges.
+      CoverageBuildOptions options;
+      options.num_threads = threads;
+      Result<CoverageGraph> runs = CoverageGraph::TryBuildForGroupsWeighted(
+          dist, pairs, RunOffsets(groups),
+          {pairs, std::vector<double>(pairs.size(), 1.0)}, options);
+      ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+      ASSERT_EQ(runs->num_candidates(), static_cast<int>(groups.size()));
+      ExpectEdgesEqual(expected, *runs, "runs");
     }
   }
 }
@@ -648,8 +679,8 @@ TEST(CoverageDiffTest, FoldedItemGraphMatchesUnfoldedRandomized) {
         const CoverageGraph raw =
             granularity == SummaryGranularity::kPairs
                 ? CoverageGraph::BuildForPairs(dist, pairs, threads)
-                : CoverageGraph::BuildForGroups(dist, pairs, built->groups,
-                                                threads);
+                : CoverageGraph::BuildForGroups(
+                      dist, pairs, RunMembers(built->group_begin), threads);
         ExpectFoldOf(raw, pairs, folded);
         if (threads == 1) {
           serial_edges = GraphEdges(folded);
@@ -701,7 +732,8 @@ TEST(CoverageDiffTest, FoldedMemoryGateCountsFoldedEdges) {
     const CoverageGraph raw =
         granularity == SummaryGranularity::kPairs
             ? CoverageGraph::BuildForPairs(dist, pairs)
-            : CoverageGraph::BuildForGroups(dist, pairs, unlimited->groups);
+            : CoverageGraph::BuildForGroups(
+                  dist, pairs, RunMembers(unlimited->group_begin));
     ASSERT_LT(needed,
               CoverageGraph::EstimateBytes(
                   raw.num_edges(), static_cast<size_t>(raw.num_candidates()),
@@ -739,11 +771,38 @@ TEST(CoverageDiffTest, WeightedBuildersRejectMismatchedWeights) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(CoverageGraph::TryBuildForGroupsWeighted(dist, pairs, {{0, 1}},
-                                                     targets, {})
+  EXPECT_EQ(CoverageGraph::TryBuildForGroupsWeighted(
+                dist, pairs, std::vector<int>{0, 2}, targets, {})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(CoverageDiffTest, GroupedBuilderRejectsMalformedRuns) {
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId a = onto.AddConcept("a");
+  ASSERT_TRUE(onto.AddEdge(root, a).ok());
+  ASSERT_TRUE(onto.Finalize().ok());
+  PairDistance dist(&onto, 0.5);
+  const std::vector<ConceptSentimentPair> pairs{{a, 0.5}, {a, -0.5}};
+  const WeightedTargets targets = FoldTargets(pairs);
+  for (const std::vector<int>& group_begin :
+       {std::vector<int>{0, 2, 1}, std::vector<int>{0, 3},
+        std::vector<int>{-1, 2}}) {
+    EXPECT_EQ(CoverageGraph::TryBuildForGroupsWeighted(dist, pairs,
+                                                       group_begin, targets,
+                                                       {})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Pairs outside every run are simply no candidate's members.
+  Result<CoverageGraph> partial = CoverageGraph::TryBuildForGroupsWeighted(
+      dist, pairs, std::vector<int>{1, 2}, targets, {});
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->num_candidates(), 1);
+  EXPECT_EQ(partial->num_targets(), 2);
 }
 
 /// The elbow sweep over unfolded graphs: one BuildForPairs graph per grid

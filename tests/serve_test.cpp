@@ -1,9 +1,9 @@
 // Tests of the overload-resilient serving layer (src/serve): the bounded
-// epoch-keyed summary cache, single-flight coalescing, admission control,
-// deadline-aware load shedding, degraded stale serving, failpoint-driven
-// chaos behavior, and the request-accounting identities
-// (submitted == admitted + rejected; admitted == completed + shed + failed
-// once drained).
+// version-keyed summary cache with its greedy trajectories, single-flight
+// coalescing, admission control, deadline-aware load shedding, degraded
+// stale serving, failpoint-driven chaos behavior, and the
+// request-accounting identities (submitted == admitted + rejected;
+// admitted == completed + shed + failed once drained).
 
 #include <sys/stat.h>
 
@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "api/review_summarizer.h"
+#include "common/rng.h"
+#include "common/simd.h"
 #include "common/slog.h"
 #include "common/strings.h"
 #include "core/model.h"
@@ -65,6 +67,35 @@ Item MakeItem(const Ontology& onto, const std::string& id,
   return item;
 }
 
+/// An item of `sentences` candidate sentences, four per review, each with
+/// one to three pairs over a dozen aspects at sentiments on a 0.25 grid,
+/// so greedy's picks carry distinct, non-trivial gains.
+Item RichItem(const Ontology& onto, const std::string& id, int sentences,
+              uint64_t seed) {
+  static const char* const kAspects[] = {
+      "screen", "screen size", "battery", "battery life",
+      "charging", "camera", "photo quality", "zoom",
+      "sound", "speaker", "performance", "lag"};
+  Rng rng(seed);
+  Item item;
+  item.id = id;
+  for (int s = 0; s < sentences; ++s) {
+    if (s % 4 == 0) item.reviews.emplace_back();
+    Sentence sentence;
+    sentence.text = StrFormat("%s sentence %d", id.c_str(), s);
+    const uint64_t pairs = 1 + rng.NextUint64(3);
+    for (uint64_t p = 0; p < pairs; ++p) {
+      const ConceptId concept_id =
+          onto.FindByName(kAspects[rng.NextUint64(12)]);
+      const double sentiment =
+          -1.0 + 0.25 * static_cast<double>(rng.NextUint64(9));
+      sentence.pairs.push_back({concept_id, sentiment});
+    }
+    item.reviews.back().sentences.push_back(std::move(sentence));
+  }
+  return item;
+}
+
 /// Every test starts and ends with a disarmed failpoint registry.
 class ServeTest : public ::testing::Test {
  protected:
@@ -93,7 +124,22 @@ class SummaryCacheTest : public ::testing::Test {};
 ItemSummary FakeSummary(double cost) {
   ItemSummary summary;
   summary.cost = cost;
+  summary.num_candidates = 1;
   summary.entries.push_back({"entry", {1, 0.5}, 0, 0});
+  return summary;
+}
+
+/// A greedy-shaped trajectory of `picks` picks over `candidates`
+/// candidates: pick i costs 10 - i.
+ItemSummary FakeTrajectory(int picks, size_t candidates) {
+  ItemSummary summary;
+  summary.num_candidates = candidates;
+  summary.prefix_costs.push_back(10.0);
+  for (int i = 0; i < picks; ++i) {
+    summary.entries.push_back({"pick" + std::to_string(i), {1, 0.5}, i, 0});
+    summary.prefix_costs.push_back(10.0 - (i + 1));
+  }
+  summary.cost = summary.prefix_costs.back();
   return summary;
 }
 
@@ -101,9 +147,9 @@ TEST_F(SummaryCacheTest, LookupHitRefreshesAndMissCounts) {
   SummaryCache cache(2);
   CacheKey a{"a", 0, 1, 5};
   ItemSummary out;
-  EXPECT_FALSE(cache.Lookup(a, &out));
+  EXPECT_FALSE(cache.Lookup(a, 5, &out));
   cache.Insert(a, FakeSummary(1.0));
-  EXPECT_TRUE(cache.Lookup(a, &out));
+  EXPECT_TRUE(cache.Lookup(a, 5, &out));
   EXPECT_DOUBLE_EQ(out.cost, 1.0);
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1);
@@ -118,11 +164,11 @@ TEST_F(SummaryCacheTest, EvictsLeastRecentlyUsed) {
   cache.Insert(a, FakeSummary(1));
   cache.Insert(b, FakeSummary(2));
   ItemSummary out;
-  ASSERT_TRUE(cache.Lookup(a, &out));  // a is now MRU; b is LRU
-  cache.Insert(c, FakeSummary(3));     // evicts b
-  EXPECT_TRUE(cache.Lookup(a, &out));
-  EXPECT_FALSE(cache.Lookup(b, &out));
-  EXPECT_TRUE(cache.Lookup(c, &out));
+  ASSERT_TRUE(cache.Lookup(a, 5, &out));  // a is now MRU; b is LRU
+  cache.Insert(c, FakeSummary(3));        // evicts b
+  EXPECT_TRUE(cache.Lookup(a, 5, &out));
+  EXPECT_FALSE(cache.Lookup(b, 5, &out));
+  EXPECT_TRUE(cache.Lookup(c, 5, &out));
   EXPECT_EQ(cache.stats().evictions, 1);
   EXPECT_EQ(cache.stats().entries, 2);
 }
@@ -132,9 +178,9 @@ TEST_F(SummaryCacheTest, CapacityZeroDisablesEverything) {
   CacheKey a{"a", 0, 1, 5};
   cache.Insert(a, FakeSummary(1));
   ItemSummary out;
-  EXPECT_FALSE(cache.Lookup(a, &out));
-  uint64_t epoch = 0;
-  EXPECT_FALSE(cache.LookupLatest("a", 1, 5, &out, &epoch));
+  EXPECT_FALSE(cache.Lookup(a, 5, &out));
+  uint64_t version = 0;
+  EXPECT_FALSE(cache.LookupLatest(a, 5, &out, &version));
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().inserts, 0);
 }
@@ -145,13 +191,56 @@ TEST_F(SummaryCacheTest, LookupLatestFindsNewestEpochAcrossBumps) {
   cache.Insert(CacheKey{"a", 3, 1, 5}, FakeSummary(2));
   ItemSummary out;
   uint64_t epoch = 0;
-  ASSERT_TRUE(cache.LookupLatest("a", 1, 5, &out, &epoch));
-  EXPECT_EQ(epoch, 3u);  // the most recently inserted generation
+  ASSERT_TRUE(cache.LookupLatest(CacheKey{"a", 0, 1, 5}, 5, &out, &epoch));
+  EXPECT_EQ(epoch, 3u);  // the newest generation
   EXPECT_DOUBLE_EQ(out.cost, 2.0);
   // A different fingerprint or k is a different summary family entirely.
-  EXPECT_FALSE(cache.LookupLatest("a", 2, 5, &out, &epoch));
-  EXPECT_FALSE(cache.LookupLatest("a", 1, 4, &out, &epoch));
+  EXPECT_FALSE(cache.LookupLatest(CacheKey{"a", 0, 2, 5}, 5, &out, &epoch));
+  EXPECT_FALSE(cache.LookupLatest(CacheKey{"a", 0, 1, 4}, 4, &out, &epoch));
   EXPECT_EQ(cache.stats().stale_hits, 1);
+
+  // With several workers a solve of an older version can finish last: the
+  // fallback must still serve the newest version, not the last insert.
+  SummaryCache racing(4);
+  racing.Insert(CacheKey{"a", 3, 1, 5}, FakeSummary(3));
+  racing.Insert(CacheKey{"a", 1, 1, 5}, FakeSummary(1));
+  ASSERT_TRUE(racing.LookupLatest(CacheKey{"a", 0, 1, 5}, 5, &out, &epoch));
+  EXPECT_EQ(epoch, 3u);
+  EXPECT_DOUBLE_EQ(out.cost, 3.0);
+}
+
+TEST_F(SummaryCacheTest, TrajectoryAnswersEveryKUpToItsDepth) {
+  SummaryCache cache(4);
+  const CacheKey trajectory{"a", 2, 1, 0};
+  cache.Insert(trajectory, FakeTrajectory(3, 10));
+  ItemSummary out;
+  for (int k = 0; k <= 3; ++k) {
+    ASSERT_TRUE(cache.Lookup(trajectory, k, &out)) << "k=" << k;
+    EXPECT_EQ(out.entries.size(), static_cast<size_t>(k));
+    EXPECT_EQ(out.cost, 10.0 - k) << "the cost after k picks";
+    EXPECT_EQ(out.prefix_costs.size(), static_cast<size_t>(k) + 1);
+  }
+  // Deeper than the trajectory: a miss, also for the stale fallback.
+  EXPECT_FALSE(cache.Lookup(trajectory, 4, &out));
+  uint64_t version = 0;
+  EXPECT_FALSE(cache.LookupLatest(trajectory, 4, &out, &version));
+  ASSERT_TRUE(cache.LookupLatest(trajectory, 2, &out, &version));
+  EXPECT_EQ(out.entries.size(), 2u);
+
+  // A deeper trajectory of the same version replaces the shallow one; a
+  // shallower one finishing later does not replace it back.
+  cache.Insert(trajectory, FakeTrajectory(6, 10));
+  cache.Insert(trajectory, FakeTrajectory(3, 10));
+  ASSERT_TRUE(cache.Lookup(trajectory, 6, &out));
+  EXPECT_EQ(out.cost, 4.0);
+  EXPECT_EQ(cache.stats().entries, 1);
+
+  // An item with fewer candidates than k is answered whole.
+  const CacheKey small{"b", 2, 1, 0};
+  cache.Insert(small, FakeTrajectory(2, 2));
+  ASSERT_TRUE(cache.Lookup(small, 8, &out));
+  EXPECT_EQ(out.entries.size(), 2u);
+  EXPECT_EQ(out.cost, 8.0);
 }
 
 TEST_F(SummaryCacheTest, EvictionDropsLatestIndexOnlyForItsOwnEntry) {
@@ -163,11 +252,11 @@ TEST_F(SummaryCacheTest, EvictionDropsLatestIndexOnlyForItsOwnEntry) {
   uint64_t epoch = 0;
   // a@0 (the LRU entry) was evicted, but latest_ pointed at a@1 — the
   // stale-serving index must survive the eviction of an older sibling.
-  ASSERT_TRUE(cache.LookupLatest("a", 1, 5, &out, &epoch));
+  ASSERT_TRUE(cache.LookupLatest(CacheKey{"a", 0, 1, 5}, 5, &out, &epoch));
   EXPECT_EQ(epoch, 1u);
   cache.Insert(CacheKey{"c", 0, 1, 5}, FakeSummary(4));  // evicts a@1
   cache.Insert(CacheKey{"d", 0, 1, 5}, FakeSummary(5));  // evicts b@0
-  EXPECT_FALSE(cache.LookupLatest("a", 1, 5, &out, &epoch));
+  EXPECT_FALSE(cache.LookupLatest(CacheKey{"a", 0, 1, 5}, 5, &out, &epoch));
 }
 
 TEST_F(SummaryCacheTest, ClearDropsEntriesKeepsStats) {
@@ -175,7 +264,7 @@ TEST_F(SummaryCacheTest, ClearDropsEntriesKeepsStats) {
   cache.Insert(CacheKey{"a", 0, 1, 5}, FakeSummary(1));
   cache.Clear();
   ItemSummary out;
-  EXPECT_FALSE(cache.Lookup(CacheKey{"a", 0, 1, 5}, &out));
+  EXPECT_FALSE(cache.Lookup(CacheKey{"a", 0, 1, 5}, 5, &out));
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().inserts, 1);
 }
@@ -276,6 +365,202 @@ TEST_F(ServeTest, UpdateItemBumpsEpochAndServesNewContent) {
       << "the refreshed item's reviews must reach the solver";
 }
 
+TEST_F(ServeTest, UpdateItemInvalidatesOnlyThatItem) {
+  ServeOptions options;
+  options.num_threads = 1;
+  SummaryServer server(&onto_, Items(2), options);
+
+  ServeRequest item0;
+  item0.item_id = "item0";
+  ServeRequest item1;
+  item1.item_id = "item1";
+  ServeResponse before = server.Serve(item0);
+  ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+  ASSERT_TRUE(server.Serve(item1).status.ok());
+
+  server.UpdateItem(MakeItem(onto_, "item1", 0.3));
+  ServeResponse kept = server.Serve(item0);
+  ASSERT_TRUE(kept.status.ok()) << kept.status.ToString();
+  EXPECT_EQ(kept.outcome, ServeOutcome::kCacheHit)
+      << "a write to item1 must not invalidate item0";
+  EXPECT_EQ(kept.epoch, 1u) << "responses report the corpus epoch";
+  EXPECT_EQ(Fingerprint(kept.summary), Fingerprint(before.summary));
+  ServeResponse refreshed = server.Serve(item1);
+  ASSERT_TRUE(refreshed.status.ok()) << refreshed.status.ToString();
+  EXPECT_EQ(refreshed.outcome, ServeOutcome::kSolved);
+
+  ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.solves, 3);
+  EXPECT_EQ(counters.cache_hits, 1);
+}
+
+// ------------------------------------------------ greedy trajectories ------
+
+TEST_F(ServeTest, OneTrajectoryAnswersEveryKBitIdentically) {
+  // Seven candidates: the k=8 read solves them all, and every k in 0..9 —
+  // k 8 and 9 above the candidate count — is read off that one trajectory.
+  const Item item = RichItem(onto_, "rich", 7, 11);
+  for (SummaryAlgorithm algorithm :
+       {SummaryAlgorithm::kGreedy, SummaryAlgorithm::kGreedyLazy}) {
+    for (simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+      const simd::Backend installed = simd::ForceBackend(backend);
+      SCOPED_TRACE(StrFormat("%s on %s", SummaryAlgorithmToString(algorithm),
+                             simd::BackendName(installed)));
+      ServeOptions options;
+      options.num_threads = 1;
+      options.summarizer.algorithm = algorithm;
+      ASSERT_TRUE(IsPrefixClosed(options.summarizer));
+      SummaryServer server(&onto_, {item}, options);
+      ReviewSummarizer direct(&onto_, options.summarizer);
+
+      ServeRequest request;
+      request.item_id = "rich";
+      request.k = 8;
+      ServeResponse deep = server.Serve(request);
+      ASSERT_TRUE(deep.status.ok()) << deep.status.ToString();
+      EXPECT_EQ(deep.outcome, ServeOutcome::kSolved);
+      ASSERT_EQ(deep.summary.num_candidates, 7u);
+      std::set<double> costs;
+      for (int k = 0; k <= 9; ++k) {
+        request.k = k;
+        ServeResponse response = server.Serve(request);
+        ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+        EXPECT_EQ(response.outcome, ServeOutcome::kCacheHit) << "k=" << k;
+        Result<ItemSummary> expected = direct.Summarize(item, k);
+        ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+        EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*expected))
+            << "k=" << k;
+        EXPECT_EQ(response.summary.prefix_costs, expected->prefix_costs)
+            << "k=" << k;
+        costs.insert(response.summary.cost);
+      }
+      EXPECT_GE(costs.size(), 3u) << "the prefixes must differ in cost";
+      EXPECT_EQ(server.counters().solves, 1);
+    }
+  }
+  simd::ResetBackendOverride();
+}
+
+TEST_F(ServeTest, SmallerKReadsCoalesceOntoADeeperFlight) {
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.serve.solve=delay(250):once")
+                  .ok());
+  ServeOptions options;
+  options.num_threads = 1;
+  const Item item = RichItem(onto_, "rich", 12, 5);
+  SummaryServer server(&onto_, {item}, options);
+
+  std::vector<ServeResponse> responses(3);
+  const int ks[] = {8, 3, 5};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 3; ++i) {
+    threads.emplace_back([&server, &responses, &ks, i] {
+      ServeRequest request;
+      request.item_id = "rich";
+      request.k = ks[i];
+      responses[static_cast<size_t>(i)] = server.Serve(request);
+    });
+    // The k=8 read is admitted first and holds the worker.
+    if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ReviewSummarizer direct(&onto_, options.summarizer);
+  for (int i = 0; i < 3; ++i) {
+    const ServeResponse& response = responses[static_cast<size_t>(i)];
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.outcome,
+              i == 0 ? ServeOutcome::kSolved : ServeOutcome::kCoalesced);
+    Result<ItemSummary> expected = direct.Summarize(item, ks[i]);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(response.summary.entries.size(), static_cast<size_t>(ks[i]));
+    EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*expected))
+        << "k=" << ks[i];
+  }
+  EXPECT_EQ(server.counters().solves, 1);
+  EXPECT_EQ(server.counters().coalesced, 2);
+}
+
+TEST_F(ServeTest, TrajectoryDepthOnlyDeepens) {
+  ServeOptions options;
+  options.num_threads = 1;
+  const Item item = RichItem(onto_, "rich", 12, 5);
+  SummaryServer server(&onto_, {item}, options);
+  ReviewSummarizer direct(&onto_, options.summarizer);
+  auto serve = [&server](int k) {
+    ServeRequest request;
+    request.item_id = "rich";
+    request.k = k;
+    return server.Serve(request);
+  };
+
+  // A 3-deep trajectory cannot answer k=8: that read solves again.
+  EXPECT_EQ(serve(3).outcome, ServeOutcome::kSolved);
+  ServeResponse deeper = serve(8);
+  EXPECT_EQ(deeper.outcome, ServeOutcome::kSolved);
+  EXPECT_EQ(serve(5).outcome, ServeOutcome::kCacheHit);
+  EXPECT_EQ(server.counters().solves, 2);
+
+  // After a write, a k=3 read solves to the item's largest k so far, so a
+  // k=7 read of the new version is already cached.
+  const Item updated = RichItem(onto_, "rich", 12, 6);
+  server.UpdateItem(updated);
+  EXPECT_EQ(serve(3).outcome, ServeOutcome::kSolved);
+  ServeResponse seven = serve(7);
+  EXPECT_EQ(seven.outcome, ServeOutcome::kCacheHit);
+  Result<ItemSummary> expected = direct.Summarize(updated, 7);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(Fingerprint(seven.summary), Fingerprint(*expected));
+  EXPECT_EQ(server.counters().solves, 3);
+}
+
+TEST_F(ServeTest, NonPrefixClosedOptionsKeepPerKEntries) {
+  ReviewSummarizerOptions ilp;
+  ilp.algorithm = SummaryAlgorithm::kIlp;
+  ReviewSummarizerOptions local_search;
+  local_search.algorithm = SummaryAlgorithm::kLocalSearch;
+  ReviewSummarizerOptions auto_epsilon;
+  auto_epsilon.auto_epsilon = true;
+  for (const ReviewSummarizerOptions& summarizer :
+       {ilp, local_search, auto_epsilon}) {
+    SCOPED_TRACE(StrFormat("%s auto_epsilon=%d",
+                           SummaryAlgorithmToString(summarizer.algorithm),
+                           summarizer.auto_epsilon ? 1 : 0));
+    ASSERT_FALSE(IsPrefixClosed(summarizer));
+    ServeOptions options;
+    options.num_threads = 1;
+    options.summarizer = summarizer;
+    const Item item = RichItem(onto_, "rich", 6, 3);
+    SummaryServer server(&onto_, {item}, options);
+    ReviewSummarizer direct(&onto_, summarizer);
+    for (int k : {3, 2}) {
+      ServeRequest request;
+      request.item_id = "rich";
+      request.k = k;
+      ServeResponse response = server.Serve(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.outcome, ServeOutcome::kSolved) << "k=" << k;
+      Result<ItemSummary> expected = direct.Summarize(item, k);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(Fingerprint(response.summary), Fingerprint(*expected));
+    }
+    EXPECT_EQ(server.counters().solves, 2);
+  }
+
+  // The other options that make an answer depend on k.
+  ReviewSummarizerOptions strict;
+  strict.strict_validation = true;
+  ReviewSummarizerOptions work_bound;
+  work_bound.max_solver_work = 1000;
+  ReviewSummarizerOptions ilp_fallback;
+  ilp_fallback.fallback_chain = {SummaryAlgorithm::kIlp};
+  EXPECT_FALSE(IsPrefixClosed(strict));
+  EXPECT_FALSE(IsPrefixClosed(work_bound));
+  EXPECT_FALSE(IsPrefixClosed(ilp_fallback));
+  EXPECT_TRUE(IsPrefixClosed(ReviewSummarizerOptions{}));
+}
+
 TEST_F(ServeTest, UnknownItemAndNegativeKAreRejected) {
   ServeOptions options;
   options.num_threads = 1;
@@ -348,10 +633,11 @@ TEST_F(ServeTest, ConcurrentRequestsForOneItemCoalesceIntoOneSolve) {
 
 TEST_F(ServeTest, QueuedReadSolvesTheVersionCurrentAtItsEpoch) {
   // One worker, held for 250 ms by the first solve. A second read with a
-  // different k (so it cannot coalesce) queues behind it, and an
-  // UpdateItem lands while it waits. The queued read is labelled with the
-  // epoch it was admitted at, so it must carry that epoch's version of the
-  // item, not the one swapped in while it queued.
+  // larger k (so its flight is deeper and it cannot coalesce onto the
+  // first) queues behind it, and an UpdateItem lands while it waits. The
+  // queued read is labelled with the epoch it was admitted at, so it must
+  // carry that epoch's version of the item, not the one swapped in while
+  // it queued.
   ASSERT_TRUE(FailpointRegistry::Global()
                   .ArmFromSpec("osrs.serve.solve=delay(250):once")
                   .ok());
@@ -876,6 +1162,24 @@ TEST_F(ServeTest, RestartRecoversMutationsAndEpochWithColdCache) {
   EXPECT_EQ(Fingerprint(response.summary), updated_fingerprint)
       << "recovered reviews must produce the same summary the pre-restart "
          "server served";
+
+  // Every item restarts at the recovered epoch as its version: one
+  // trajectory answers k=5 and then k=3, each as a direct solve of the
+  // recovered reviews would.
+  const Item recovered_item = MakeItem(onto_, "item0", 0.3);
+  ReviewSummarizer direct(&onto_, options.summarizer);
+  request.k = 3;
+  ServeResponse smaller = restarted.Serve(request);
+  ASSERT_TRUE(smaller.status.ok()) << smaller.status.ToString();
+  EXPECT_EQ(smaller.outcome, ServeOutcome::kCacheHit);
+  for (const auto& [k, served] :
+       {std::pair<int, const ServeResponse*>{5, &response}, {3, &smaller}}) {
+    Result<ItemSummary> expected = direct.Summarize(recovered_item, k);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(Fingerprint(served->summary), Fingerprint(*expected))
+        << "k=" << k;
+  }
+  EXPECT_EQ(restarted.counters().solves, 1);
 }
 
 TEST_F(ServeTest, DrainCompletesWorkRejectsNewAndCollapsesJournal) {

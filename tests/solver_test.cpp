@@ -127,6 +127,46 @@ TEST(GreedyTest, PrefixProperty) {
   }
 }
 
+TEST(GreedyTest, PerPickCostsEqualDirectSolvesOnWeightedGraphs) {
+  // One depth-D solve records the cost after every pick; each must be the
+  // cost of a direct k-pick solve bit for bit, with the same picks, on
+  // both heaps. Integer multiplicities, as FoldTargets produces.
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    Instance inst = MakeInstance(seed, 60);
+    Rng rng(seed);
+    std::vector<double> weights(inst.pairs.size());
+    for (double& w : weights) w = static_cast<double>(1 + rng.NextUint64(4));
+    PairDistance dist(&inst.ontology, 0.5);
+    CoverageGraph graph =
+        CoverageGraph::BuildForPairsWeighted(dist, inst.pairs, weights);
+    for (GreedyOptions::Heap heap :
+         {GreedyOptions::Heap::kEager, GreedyOptions::Heap::kLazy}) {
+      GreedyOptions options;
+      options.heap = heap;
+      GreedySummarizer greedy(options);
+      constexpr int kDepth = 12;
+      auto deep = greedy.Summarize(graph, kDepth);
+      ASSERT_TRUE(deep.ok());
+      ASSERT_EQ(deep->prefix_costs.size(), deep->selected.size() + 1);
+      EXPECT_EQ(deep->prefix_costs.front(), graph.EmptySummaryCost());
+      EXPECT_EQ(deep->prefix_costs.back(), deep->cost);
+      for (int k = 0; k <= kDepth; ++k) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " " + greedy.name() +
+                     " k=" + std::to_string(k));
+        auto direct = greedy.Summarize(graph, k);
+        ASSERT_TRUE(direct.ok());
+        EXPECT_EQ(deep->prefix_costs[static_cast<size_t>(k)], direct->cost);
+        EXPECT_EQ(std::vector<int>(deep->selected.begin(),
+                                   deep->selected.begin() + k),
+                  direct->selected);
+        EXPECT_EQ(std::vector<double>(deep->prefix_costs.begin(),
+                                      deep->prefix_costs.begin() + k + 1),
+                  direct->prefix_costs);
+      }
+    }
+  }
+}
+
 TEST(GreedyTest, MatchesExhaustiveOnEasyInstance) {
   // With k = 1 greedy IS optimal (single best candidate).
   for (uint64_t seed : {12u, 13u, 14u}) {

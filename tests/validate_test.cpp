@@ -184,14 +184,19 @@ TEST(ModelValidatorTest, DetectsDuplicateItemIds) {
 }
 
 TEST(ModelValidatorTest, DetectsDanglingGroupIndexAndDoubleMembership) {
-  // Group 0 references pair 7 of 3, and pair 1 belongs to two groups.
-  std::vector<std::vector<int>> groups = {{0, 7}, {1}, {1, 2}};
+  // Group 1 = [2, 1) starts inside group 0 = [0, 2), so pair 1 belongs to
+  // both, and group 2 = [1, 7) runs past pair 3 of 3.
+  std::vector<int> group_begin = {0, 2, 1, 7};
   ModelValidator validator;
   ValidationReport report = validator.MakeReport();
-  validator.CheckGroups(groups, /*num_pairs=*/3, &report);
+  validator.CheckGroups(group_begin, /*num_pairs=*/3, &report);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(HasCode(report, "OSRS-CRP-009"));
   EXPECT_TRUE(HasCode(report, "OSRS-CRP-010"));
+
+  ValidationReport clean = validator.MakeReport();
+  validator.CheckGroups({0, 1, 3}, /*num_pairs=*/3, &clean);
+  EXPECT_TRUE(clean.ok());
 }
 
 // --------------------------------------------------------------- solver

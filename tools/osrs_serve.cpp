@@ -3,7 +3,7 @@
 // Loads an `# osrs-corpus v1` file (or generates the synthetic cell-phone
 // corpus when no file is given) and serves per-item summaries through
 // SummaryServer: bounded queue with admission control, deadline-aware load
-// shedding, single-flight request coalescing, and the epoch-keyed summary
+// shedding, single-flight request coalescing, and the version-keyed summary
 // cache. Two modes:
 //
 //   * interactive (default) — a line protocol on stdin, one command per
@@ -188,7 +188,7 @@ void PrintUsage(std::FILE* out) {
       "usage: osrs_serve [options] [<corpus-file>]\n"
       "\n"
       "Serves per-item summaries from a SummaryServer (bounded queue,\n"
-      "admission control, load shedding, coalescing, epoch-keyed cache).\n"
+      "admission control, load shedding, coalescing, version-keyed cache).\n"
       "Without a corpus file a synthetic cell-phone corpus is generated.\n"
       "\n"
       "modes:\n"
