@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI driver: the tier-1 suite in the default configuration, a chaos stage
 # (randomized failpoint schedules, env-spec arming end to end, retry
-# overhead bench), a lint stage (tools/lint.sh conventions + osrs_lint
+# overhead bench), a perfbench smoke stage (every end-to-end workload for
+# a few seconds, untraced and traced, with the harness's correctness
+# checks on), a lint stage (tools/lint.sh conventions + osrs_lint
 # over the shipped example data + clang-tidy when installed), a clang
 # thread-safety stage (OSRS_THREAD_SAFETY=ON build of the concurrent core
 # plus the negative-compile harness, skipped when clang++ is not
@@ -50,6 +52,20 @@ echo "== coverage-build bench smoke =="
 # fast and baseline builders agree on every dataset and that the JSON
 # report is written (full-size numbers live in BENCH_coverage.json).
 ./build/bench/bench_coverage_build --smoke --out=build/BENCH_coverage_smoke.json
+
+echo "== perfbench smoke: every workload, untraced then traced =="
+# Three seconds per workload through the end-to-end benchmark harness,
+# which builds against this checkout's src/ (Release, in .bench_build/).
+# run.py exits non-zero when the harness no longer builds against the
+# library, a run fails, or an output is incorrect — including a traced
+# ingest walk that disagrees with the facade — so such a change fails
+# here before any benchmark comparison. (perfbench/selftest.py is not
+# run: its tracing-overhead and ledger-share checks predate the current
+# layer costs; see ROADMAP.md.)
+python3 perfbench/run.py --workload all --seed 1 --seconds 3 --trace 0 \
+    > build/perfbench_smoke.txt
+python3 perfbench/run.py --workload all --seed 1 --seconds 3 --trace 1 \
+    > build/perfbench_smoke_traced.txt
 
 echo "== annotation bench smoke =="
 # CI-sized run of the text-pipeline bench: AnnotateTexts over doctor text

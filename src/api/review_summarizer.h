@@ -190,8 +190,13 @@ struct ItemSummary {
   /// The ε actually used (differs from the configured one under
   /// auto_epsilon).
   double epsilon = 0.0;
+  /// Pair occurrences of the item.
   size_t num_pairs = 0;
+  /// Candidates (pairs, sentences or reviews with a pair), folded or not.
   size_t num_candidates = 0;
+  /// Edges the solved graph stores: one row per folded target and per
+  /// candidate class (TryBuildItemGraph), so a repeated pair or sentence
+  /// adds none.
   size_t num_edges = 0;
 
   /// True when the summary is not the configured algorithm's full-budget

@@ -52,19 +52,30 @@ struct ConceptBuckets {
   std::vector<int> pair_indices;
 };
 
+/// Only pairs that build a row are bucketed: with `group_of` given, pairs
+/// it maps to -1 (outside every run, or members of a folded-away
+/// candidate) would only be enumerated to be dropped.
 ConceptBuckets BucketByConcept(const Ontology& onto,
-                               const std::vector<ConceptSentimentPair>& pairs) {
+                               const std::vector<ConceptSentimentPair>& pairs,
+                               const std::vector<int>* group_of) {
+  auto bucketed = [group_of](size_t i) {
+    return group_of == nullptr || (*group_of)[i] >= 0;
+  };
   ConceptBuckets buckets;
   buckets.bucket_of_concept.assign(onto.num_concepts(), -1);
   int32_t num_buckets = 0;
+  size_t num_bucketed = 0;
   std::vector<size_t> bucket_sizes;
-  for (const ConceptSentimentPair& pair : pairs) {
-    int32_t& slot = buckets.bucket_of_concept[static_cast<size_t>(pair.concept_id)];
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (!bucketed(i)) continue;
+    int32_t& slot =
+        buckets.bucket_of_concept[static_cast<size_t>(pairs[i].concept_id)];
     if (slot < 0) {
       slot = num_buckets++;
       bucket_sizes.push_back(0);
     }
     ++bucket_sizes[static_cast<size_t>(slot)];
+    ++num_bucketed;
   }
   buckets.offsets.assign(static_cast<size_t>(num_buckets) + 1, 0);
   for (int32_t b = 0; b < num_buckets; ++b) {
@@ -72,11 +83,12 @@ ConceptBuckets BucketByConcept(const Ontology& onto,
         buckets.offsets[static_cast<size_t>(b)] +
         bucket_sizes[static_cast<size_t>(b)];
   }
-  buckets.sentiments.resize(pairs.size());
-  buckets.pair_indices.resize(pairs.size());
+  buckets.sentiments.resize(num_bucketed);
+  buckets.pair_indices.resize(num_bucketed);
   std::vector<size_t> cursor(buckets.offsets.begin(),
                              buckets.offsets.end() - 1);
   for (size_t i = 0; i < pairs.size(); ++i) {
+    if (!bucketed(i)) continue;
     int32_t b = buckets.bucket_of_concept[static_cast<size_t>(pairs[i].concept_id)];
     size_t slot = cursor[static_cast<size_t>(b)]++;
     buckets.sentiments[slot] = pairs[i].sentiment;
@@ -303,16 +315,117 @@ std::vector<int> GroupOfMembers(const std::vector<std::vector<int>>& groups,
   return group_of;
 }
 
-/// Pair → owning group for contiguous runs (CheckGroupRuns passed); -1
-/// for pairs outside every run.
-std::vector<int> GroupOfRuns(const std::vector<int>& group_begin,
-                             size_t num_pairs) {
-  std::vector<int> group_of(num_pairs, -1);
-  for (size_t g = 0; g + 1 < group_begin.size(); ++g) {
-    std::fill(group_of.begin() + group_begin[g],
-              group_of.begin() + group_begin[g + 1], static_cast<int>(g));
+/// Every candidate its own class: the unfolded reference builders' map.
+std::vector<int32_t> IdentityClasses(size_t num_candidates) {
+  std::vector<int32_t> class_of(num_candidates);
+  for (size_t u = 0; u < num_candidates; ++u) {
+    class_of[u] = static_cast<int32_t>(u);
   }
-  return group_of;
+  return class_of;
+}
+
+/// The candidate classes of one TryBuild*Weighted build.
+struct CandidateClasses {
+  /// Class of every candidate, numbered in first-occurrence order.
+  std::vector<int32_t> class_of;
+  int num_classes = 0;
+  /// Pair → the class whose row it builds, or -1: only the pairs of each
+  /// class's first member are enumerated.
+  std::vector<int> group_of;
+};
+
+/// Pairs granularity: candidate u is pair u, and its class is its fold
+/// key, renumbered in first-occurrence order.
+CandidateClasses PairClasses(std::span<const int32_t> key_of,
+                             size_t num_keys) {
+  CandidateClasses out;
+  out.class_of.resize(key_of.size());
+  out.group_of.resize(key_of.size());
+  std::vector<int32_t> class_of_key(num_keys, -1);
+  for (size_t u = 0; u < key_of.size(); ++u) {
+    int32_t& cls = class_of_key[static_cast<size_t>(key_of[u])];
+    const bool first = cls < 0;
+    if (first) cls = out.num_classes++;
+    out.class_of[u] = cls;
+    out.group_of[u] = first ? cls : -1;
+  }
+  return out;
+}
+
+/// Sentence/review granularity: run g's class key is the sorted,
+/// de-duplicated fold keys of its pairs. One pass over the runs with every
+/// table sized up front: the keys of the classes found so far sit back to
+/// back in `keys` (class c's at [key_begin[c], key_begin[c + 1])), and each
+/// run's key is sorted in place at their end and either dropped again (a
+/// known class) or kept (a new one). A key of one id — most sentences
+/// carry one pair — finds its class in a table indexed by that id; longer
+/// keys go through an open-addressing table at most half full.
+CandidateClasses RunClasses(const std::vector<int>& group_begin,
+                            std::span<const int32_t> key_of,
+                            size_t num_keys) {
+  const size_t num_groups = group_begin.empty() ? 0 : group_begin.size() - 1;
+  CandidateClasses out;
+  out.class_of.resize(num_groups);
+  out.group_of.assign(key_of.size(), -1);
+  // Kept keys plus the run being keyed never exceed the pairs.
+  std::vector<int32_t> keys;
+  keys.reserve(key_of.size());
+  std::vector<size_t> key_begin;
+  key_begin.reserve(num_groups + 1);
+  key_begin.push_back(0);
+  std::vector<int32_t> class_of_id(num_keys, -1);
+  size_t num_long_runs = 0;
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (group_begin[g + 1] - group_begin[g] != 1) ++num_long_runs;
+  }
+  const size_t capacity =
+      std::bit_ceil(std::max<size_t>(2 * num_long_runs, 16));
+  const size_t mask = capacity - 1;
+  std::vector<int32_t> slots(capacity, -1);
+  auto slot_of = [&](std::span<const int32_t> key) -> int32_t& {
+    if (key.size() == 1) return class_of_id[static_cast<size_t>(key[0])];
+    uint64_t hash = key.size();
+    for (int32_t id : key) {
+      hash = Mix64(hash ^ static_cast<uint64_t>(static_cast<uint32_t>(id)));
+    }
+    size_t slot = static_cast<size_t>(hash) & mask;
+    while (slots[slot] >= 0) {
+      const size_t c = static_cast<size_t>(slots[slot]);
+      if (std::equal(key.begin(), key.end(), keys.data() + key_begin[c],
+                     keys.data() + key_begin[c + 1])) {
+        break;
+      }
+      slot = (slot + 1) & mask;
+    }
+    return slots[slot];
+  };
+  for (size_t g = 0; g < num_groups; ++g) {
+    const size_t run_begin = static_cast<size_t>(group_begin[g]);
+    const size_t run_end = static_cast<size_t>(group_begin[g + 1]);
+    const size_t begin = keys.size();
+    if (run_end - run_begin == 1) {
+      keys.push_back(key_of[run_begin]);
+    } else {
+      keys.insert(keys.end(), key_of.data() + run_begin,
+                  key_of.data() + run_end);
+      std::sort(keys.data() + begin, keys.data() + keys.size());
+      keys.resize(static_cast<size_t>(
+          std::unique(keys.data() + begin, keys.data() + keys.size()) -
+          keys.data()));
+    }
+    int32_t& cls = slot_of({keys.data() + begin, keys.size() - begin});
+    if (cls >= 0) {
+      out.class_of[g] = cls;
+      keys.resize(begin);
+      continue;
+    }
+    cls = out.num_classes++;
+    key_begin.push_back(keys.size());
+    out.class_of[g] = cls;
+    std::fill(out.group_of.data() + run_begin, out.group_of.data() + run_end,
+              cls);
+  }
+  return out;
 }
 
 /// Run offsets must ascend inside [0, num_pairs], or the runs would
@@ -330,6 +443,68 @@ Status CheckGroupRuns(const std::vector<int>& group_begin, size_t num_pairs) {
   return Status::OK();
 }
 
+/// Key of a DedupePairs bucket: a concept plus a quantized sentiment (or,
+/// for FoldTargets, the sentiment's bits).
+struct DedupeKey {
+  ConceptId concept_id;
+  int64_t sentiment_bucket;
+
+  bool operator==(const DedupeKey& other) const {
+    return concept_id == other.concept_id &&
+           sentiment_bucket == other.sentiment_bucket;
+  }
+};
+
+/// Mixes the concept and bucket words through the splitmix64 finalizer;
+/// either field alone is low-entropy (small ids, clustered buckets).
+struct DedupeKeyHash {
+  size_t operator()(const DedupeKey& key) const {
+    uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(key.concept_id));
+    h = (h << 32) ^ static_cast<uint64_t>(key.sentiment_bucket);
+    return static_cast<size_t>(Mix64(h));
+  }
+};
+
+/// FoldTargets' key: the concept plus the sentiment's bit pattern with -0.0
+/// read as +0.0, so exactly the pairs with identical distance rows share a
+/// key.
+DedupeKey FoldKey(const ConceptSentimentPair& pair) {
+  const double sentiment = pair.sentiment == 0.0 ? 0.0 : pair.sentiment;
+  return {pair.concept_id, std::bit_cast<int64_t>(sentiment)};
+}
+
+/// The fold key of every pair, as the id of the target it folds into:
+/// equal ids mean equal (concept, sentiment) keys, hence identical coverage
+/// rows. Read off targets.target_of when it is given, each id checked to
+/// name a target equal to its pair; otherwise `scratch` becomes
+/// FoldTargets(pairs) and lends its map. Returns the number of ids.
+Result<size_t> FoldKeysOf(const std::vector<ConceptSentimentPair>& pairs,
+                          const WeightedTargets& targets,
+                          WeightedTargets& scratch,
+                          std::span<const int32_t>& key_of) {
+  if (targets.target_of.empty()) {
+    scratch = FoldTargets(pairs);
+    key_of = scratch.target_of;
+    return scratch.pairs.size();
+  }
+  if (targets.target_of.size() != pairs.size()) {
+    return Status::InvalidArgument(
+        StrFormat("target_of has %zu entries for %zu pairs",
+                  targets.target_of.size(), pairs.size()));
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const int32_t t = targets.target_of[i];
+    if (t < 0 || static_cast<size_t>(t) >= targets.pairs.size() ||
+        !(FoldKey(targets.pairs[static_cast<size_t>(t)]) ==
+          FoldKey(pairs[i]))) {
+      return Status::InvalidArgument(StrFormat(
+          "target_of[%zu] is %d, not a target equal to pair %zu", i, t, i));
+    }
+  }
+  key_of = targets.target_of;
+  return targets.pairs.size();
+}
+
 /// A weight lane must carry exactly one multiplicity per target.
 Status CheckTargetWeights(const WeightedTargets& targets) {
   if (targets.weights.size() == targets.pairs.size()) return Status::OK();
@@ -344,10 +519,12 @@ size_t CoverageGraph::EstimateBytes(size_t num_edges, size_t num_candidates,
                                     size_t num_targets, bool weighted) {
   // Both CSR directions as SoA lanes (endpoint int32 + distance float per
   // edge — byte-identical to the former 8-byte Edge struct), both offset
-  // arrays, root distances in double and in the float kernel lane, and
-  // (when built weighted) the multiplicity array.
+  // arrays (the forward one priced per candidate, the bound on classes),
+  // the candidate → class map, root distances in double and in the float
+  // kernel lane, and (when built weighted) the multiplicity array.
   size_t bytes = 2 * num_edges * (sizeof(int32_t) + sizeof(float));
   bytes += (num_candidates + 1 + num_targets + 1) * sizeof(size_t);
+  bytes += num_candidates * sizeof(int32_t);
   bytes += num_targets * (sizeof(double) + sizeof(float));
   if (weighted) bytes += num_targets * sizeof(double);
   return bytes;
@@ -357,19 +534,21 @@ template <bool kGrouped>
 Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
     const PairDistance& distance,
     const std::vector<ConceptSentimentPair>& pairs,
-    const std::vector<int>* group_of, int num_candidates,
+    const std::vector<int>* group_of, int num_classes,
+    std::vector<int32_t> class_of,
     const std::vector<ConceptSentimentPair>& targets,
     const std::vector<double>* target_weights,
     const CoverageBuildOptions& options) {
   obs::TraceSpan build_span(obs::Phase::kBuildCoverageGraph);
-  // The identity grouping needs no map: pair u is candidate u.
+  // The identity grouping needs no map: pair u is row u.
   OSRS_DCHECK(!kGrouped || group_of->size() == pairs.size());
-  const ConceptBuckets buckets = BucketByConcept(distance.ontology(), pairs);
+  const ConceptBuckets buckets = BucketByConcept(
+      distance.ontology(), pairs, kGrouped ? group_of : nullptr);
   const int num_targets = static_cast<int>(targets.size());
   const int num_shards = ResolveNumThreads(options.num_threads, targets.size());
   // Per-shard group scratch; empty for the identity grouping.
   const size_t group_scratch =
-      kGrouped ? static_cast<size_t>(num_candidates) : 0;
+      kGrouped ? static_cast<size_t>(num_classes) : 0;
 
   // Counting pass: the full closure/window enumeration with degrees as the
   // only output. Nothing is materialized, so the pass reads only the hot
@@ -387,7 +566,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
   std::vector<size_t> emitted = RunSharded(
       num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
         std::vector<size_t>& degree = shard_degree[static_cast<size_t>(shard)];
-        degree.assign(static_cast<size_t>(num_candidates), 0);
+        degree.assign(static_cast<size_t>(num_classes), 0);
         std::vector<int> last_target(group_scratch, -1);
         return ForEachCoveringPairInRange(
             distance, targets, buckets, w_begin, w_end,
@@ -395,7 +574,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
               int c = u;
               if constexpr (kGrouped) {
                 c = (*group_of)[static_cast<size_t>(u)];
-                if (c < 0) return;  // pair not part of any candidate group
+                OSRS_DCHECK_GE(c, 0);  // only row-building pairs are bucketed
                 if (last_target[static_cast<size_t>(c)] == w) return;
                 last_target[static_cast<size_t>(c)] = w;
               }
@@ -405,9 +584,8 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
       });
   RecordBuildTelemetry(emitted);
   OSRS_RETURN_IF_ERROR(CheckMemoryBudget(
-      options, TotalCountedEdges(shard_degree),
-      static_cast<size_t>(num_candidates), static_cast<size_t>(num_targets),
-      target_weights != nullptr));
+      options, TotalCountedEdges(shard_degree), class_of.size(),
+      static_cast<size_t>(num_targets), target_weights != nullptr));
 
   // Scatter pass: re-run the same enumeration, writing every edge straight
   // into both final CSR slots. Forward rows fill through per-(shard,
@@ -420,11 +598,12 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
   // recorded by last_findex/last_bindex instead of consuming new ones,
   // keeping Definition 2's minimum over member pairs in both CSR copies.
   CoverageGraph graph;
+  graph.class_of_ = std::move(class_of);
   graph.root_distance_ = RootDistances(distance, targets);
   graph.root_distance_f32_.assign(graph.root_distance_.begin(),
                                   graph.root_distance_.end());
   if (target_weights != nullptr) graph.target_weights_ = *target_weights;
-  graph.PrepareForwardScatter(num_candidates, shard_degree);
+  graph.PrepareForwardScatter(num_classes, shard_degree);
   graph.PrepareBackwardFill(num_targets, backward_degree);
   RunSharded(
       num_targets, num_shards, [&](int shard, int w_begin, int w_end) {
@@ -442,7 +621,7 @@ Result<CoverageGraph> CoverageGraph::BuildForGroupsImpl(
               int c = u;
               if constexpr (kGrouped) {
                 c = (*group_of)[static_cast<size_t>(u)];
-                if (c < 0) return;
+                OSRS_DCHECK_GE(c, 0);
                 if (last_target[static_cast<size_t>(c)] == w) {
                   float& forward_distance = graph.forward_distance_
                       [last_findex[static_cast<size_t>(c)]];
@@ -481,9 +660,9 @@ CoverageGraph CoverageGraph::BuildForPairs(
   options.num_threads = num_threads;
   // No memory limit and no failpoint on the legacy path, so the impl
   // cannot fail.
-  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr,
-                                         static_cast<int>(pairs.size()), pairs,
-                                         nullptr, options);
+  auto graph = BuildForGroupsImpl<false>(
+      distance, pairs, nullptr, static_cast<int>(pairs.size()),
+      IdentityClasses(pairs.size()), pairs, nullptr, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
 }
@@ -495,9 +674,9 @@ CoverageGraph CoverageGraph::BuildForGroups(
   CoverageBuildOptions options;
   options.num_threads = num_threads;
   const std::vector<int> group_of = GroupOfMembers(groups, pairs.size());
-  auto graph = BuildForGroupsImpl<true>(distance, pairs, &group_of,
-                                        static_cast<int>(groups.size()), pairs,
-                                        nullptr, options);
+  auto graph = BuildForGroupsImpl<true>(
+      distance, pairs, &group_of, static_cast<int>(groups.size()),
+      IdentityClasses(groups.size()), pairs, nullptr, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
 }
@@ -509,9 +688,9 @@ CoverageGraph CoverageGraph::BuildForPairsWeighted(
   OSRS_CHECK_EQ(target_weights.size(), pairs.size());
   CoverageBuildOptions options;
   options.num_threads = num_threads;
-  auto graph = BuildForGroupsImpl<false>(distance, pairs, nullptr,
-                                         static_cast<int>(pairs.size()), pairs,
-                                         &target_weights, options);
+  auto graph = BuildForGroupsImpl<false>(
+      distance, pairs, nullptr, static_cast<int>(pairs.size()),
+      IdentityClasses(pairs.size()), pairs, &target_weights, options);
   OSRS_CHECK(graph.ok());
   return std::move(graph).value();
 }
@@ -522,9 +701,15 @@ Result<CoverageGraph> CoverageGraph::TryBuildForPairsWeighted(
     const WeightedTargets& targets, const CoverageBuildOptions& options) {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
   OSRS_RETURN_IF_ERROR(CheckTargetWeights(targets));
-  return BuildForGroupsImpl<false>(distance, pairs, nullptr,
-                                   static_cast<int>(pairs.size()),
-                                   targets.pairs, &targets.weights, options);
+  WeightedTargets scratch;
+  std::span<const int32_t> key_of;
+  Result<size_t> num_keys = FoldKeysOf(pairs, targets, scratch, key_of);
+  OSRS_RETURN_IF_ERROR(num_keys.status());
+  CandidateClasses classes = PairClasses(key_of, *num_keys);
+  return BuildForGroupsImpl<true>(distance, pairs, &classes.group_of,
+                                  classes.num_classes,
+                                  std::move(classes.class_of), targets.pairs,
+                                  &targets.weights, options);
 }
 
 Result<CoverageGraph> CoverageGraph::TryBuildForGroupsWeighted(
@@ -535,46 +720,16 @@ Result<CoverageGraph> CoverageGraph::TryBuildForGroupsWeighted(
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.coverage.alloc"));
   OSRS_RETURN_IF_ERROR(CheckTargetWeights(targets));
   OSRS_RETURN_IF_ERROR(CheckGroupRuns(group_begin, pairs.size()));
-  const std::vector<int> group_of = GroupOfRuns(group_begin, pairs.size());
-  const int num_groups =
-      group_begin.empty() ? 0 : static_cast<int>(group_begin.size()) - 1;
-  return BuildForGroupsImpl<true>(distance, pairs, &group_of, num_groups,
-                                  targets.pairs, &targets.weights, options);
+  WeightedTargets scratch;
+  std::span<const int32_t> key_of;
+  Result<size_t> num_keys = FoldKeysOf(pairs, targets, scratch, key_of);
+  OSRS_RETURN_IF_ERROR(num_keys.status());
+  CandidateClasses classes = RunClasses(group_begin, key_of, *num_keys);
+  return BuildForGroupsImpl<true>(distance, pairs, &classes.group_of,
+                                  classes.num_classes,
+                                  std::move(classes.class_of), targets.pairs,
+                                  &targets.weights, options);
 }
-
-namespace {
-
-/// Key of a DedupePairs bucket: a concept plus a quantized sentiment (or,
-/// for FoldTargets, the sentiment's bits).
-struct DedupeKey {
-  ConceptId concept_id;
-  int64_t sentiment_bucket;
-
-  bool operator==(const DedupeKey& other) const {
-    return concept_id == other.concept_id &&
-           sentiment_bucket == other.sentiment_bucket;
-  }
-};
-
-/// Mixes the concept and bucket words through the splitmix64 finalizer;
-/// either field alone is low-entropy (small ids, clustered buckets).
-struct DedupeKeyHash {
-  size_t operator()(const DedupeKey& key) const {
-    uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(key.concept_id));
-    h = (h << 32) ^ static_cast<uint64_t>(key.sentiment_bucket);
-    return static_cast<size_t>(Mix64(h));
-  }
-};
-
-/// FoldTargets' key: the concept plus the sentiment's bit pattern with -0.0
-/// read as +0.0, so exactly the pairs with identical distance rows share a
-/// key.
-DedupeKey FoldKey(const ConceptSentimentPair& pair) {
-  const double sentiment = pair.sentiment == 0.0 ? 0.0 : pair.sentiment;
-  return {pair.concept_id, std::bit_cast<int64_t>(sentiment)};
-}
-
-}  // namespace
 
 DedupedPairs DedupePairs(const std::vector<ConceptSentimentPair>& pairs,
                          double sentiment_quantum) {
@@ -614,6 +769,7 @@ WeightedTargets FoldTargets(const std::vector<ConceptSentimentPair>& pairs) {
   WeightedTargets out;
   out.pairs.reserve(pairs.size());
   out.weights.reserve(pairs.size());
+  out.target_of.resize(pairs.size());
   // Open-addressing table of target indices (-1 = empty), at most half
   // full, probed linearly; targets are assigned in first-occurrence order.
   // Every solve runs this, so it avoids DedupePairs' node-based
@@ -624,7 +780,8 @@ WeightedTargets FoldTargets(const std::vector<ConceptSentimentPair>& pairs) {
       std::bit_ceil(std::max<size_t>(2 * pairs.size(), 16));
   const size_t mask = capacity - 1;
   std::vector<int32_t> slots(capacity, -1);
-  for (const ConceptSentimentPair& pair : pairs) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const ConceptSentimentPair& pair = pairs[i];
     const DedupeKey key = FoldKey(pair);
     size_t slot = DedupeKeyHash{}(key) & mask;
     while (slots[slot] >= 0 &&
@@ -638,21 +795,21 @@ WeightedTargets FoldTargets(const std::vector<ConceptSentimentPair>& pairs) {
       out.pairs.push_back(pair);
       out.weights.push_back(1.0);
     }
+    out.target_of[i] = slots[slot];
   }
   return out;
 }
 
 void CoverageGraph::PrepareForwardScatter(
-    int num_candidates, std::vector<std::vector<size_t>>& shard_degree) {
+    int num_classes, std::vector<std::vector<size_t>>& shard_degree) {
   OSRS_CHECK(!shard_degree.empty());
-  // Serial prefix sum (O(candidates × shards), cheap). shard_degree[s][u]
-  // becomes the scatter cursor for shard s's slice of candidate u's
-  // forward row; slices are consecutive in shard order, so after the
-  // scatter pass it holds the slice end == the start of shard s + 1's
-  // slice.
-  forward_offsets_.assign(static_cast<size_t>(num_candidates) + 1, 0);
+  // Serial prefix sum (O(classes × shards), cheap). shard_degree[s][u]
+  // becomes the scatter cursor for shard s's slice of class u's forward
+  // row; slices are consecutive in shard order, so after the scatter pass
+  // it holds the slice end == the start of shard s + 1's slice.
+  forward_offsets_.assign(static_cast<size_t>(num_classes) + 1, 0);
   size_t running = 0;
-  for (int u = 0; u < num_candidates; ++u) {
+  for (int u = 0; u < num_classes; ++u) {
     forward_offsets_[static_cast<size_t>(u)] = running;
     for (std::vector<size_t>& degree : shard_degree) {
       size_t d = degree[static_cast<size_t>(u)];
@@ -660,7 +817,7 @@ void CoverageGraph::PrepareForwardScatter(
       running += d;
     }
   }
-  forward_offsets_[static_cast<size_t>(num_candidates)] = running;
+  forward_offsets_[static_cast<size_t>(num_classes)] = running;
   forward_endpoint_.resize(running);
   forward_distance_.resize(running);
 }
@@ -682,9 +839,15 @@ void CoverageGraph::PrepareBackwardFill(
 CoverageGraph::EdgeLanes CoverageGraph::ForwardLanesOf(int u) const {
   OSRS_DCHECK_GE(u, 0);
   OSRS_DCHECK_LT(u, num_candidates());
-  const size_t begin = forward_offsets_[static_cast<size_t>(u)];
+  return ClassLanesOf(class_of_[static_cast<size_t>(u)]);
+}
+
+CoverageGraph::EdgeLanes CoverageGraph::ClassLanesOf(int c) const {
+  OSRS_DCHECK_GE(c, 0);
+  OSRS_DCHECK_LT(c, num_classes());
+  const size_t begin = forward_offsets_[static_cast<size_t>(c)];
   return {forward_endpoint_.data() + begin, forward_distance_.data() + begin,
-          forward_offsets_[static_cast<size_t>(u) + 1] - begin};
+          forward_offsets_[static_cast<size_t>(c) + 1] - begin};
 }
 
 CoverageGraph::EdgeLanes CoverageGraph::BackwardLanesOf(int w) const {
@@ -732,7 +895,12 @@ double CoverageGraph::CostOfSelection(std::span<const int> selected,
 
 double CoverageGraph::AverageCandidateDegree() const {
   if (num_candidates() == 0) return 0.0;
-  return static_cast<double>(num_edges()) /
+  size_t candidate_edges = 0;
+  for (int32_t c : class_of_) {
+    candidate_edges += forward_offsets_[static_cast<size_t>(c) + 1] -
+                       forward_offsets_[static_cast<size_t>(c)];
+  }
+  return static_cast<double>(candidate_edges) /
          static_cast<double>(num_candidates());
 }
 

@@ -32,6 +32,11 @@ struct CoverageBuildOptions {
 struct WeightedTargets {
   std::vector<ConceptSentimentPair> pairs;
   std::vector<double> weights;
+  /// FoldTargets only: the target each folded pair went to, one entry per
+  /// pair of the folded multiset. The TryBuild*Weighted builders read the
+  /// candidates' fold keys from here instead of hashing the pairs again;
+  /// left empty, they fold the pairs themselves.
+  std::vector<int32_t> target_of;
 };
 
 /// The edge-weighted bipartite graph G = (U, W, E) of §4.1.
@@ -48,6 +53,15 @@ struct WeightedTargets {
 /// Storage is CSR in both directions: the greedy algorithm walks forward
 /// edges (candidate → targets) when applying a selection and backward edges
 /// (target → candidates) to find the neighbor-of-neighbor keys to update.
+///
+/// Rows are stored once per candidate *class*: candidates whose pairs carry
+/// the same (concept, sentiment) keys have identical rows, so the graph
+/// keeps one forward and one backward row per class plus a candidate →
+/// class map. Candidates stay the unit of every per-candidate accessor
+/// (num_candidates, EdgesOf, ForwardLanesOf, CostOfSelection); backward
+/// rows list classes. The TryBuild*Weighted builders fold equal
+/// candidates into one class; the value-returning Build* builders give
+/// every candidate its own class (the unfolded reference).
 ///
 /// The CSR is structure-of-arrays: each direction keeps a 64-byte-aligned
 /// endpoint lane (int32) and a distance lane (float) rather than an array
@@ -196,7 +210,18 @@ class CoverageGraph {
   /// FoldTargets(pairs) this is the exact, smaller form of
   /// BuildForPairs/BuildForGroups (same candidates, same costs); with
   /// targets = {pairs, weights} the ForPairs variant is
-  /// BuildForPairsWeighted. Resource failures surface as Status
+  /// BuildForPairsWeighted.
+  ///
+  /// Both fold the candidate side into classes: a pair's class is its fold
+  /// key (the target FoldTargets folded it into), a run's class the sorted,
+  /// de-duplicated fold keys of its pairs (a group's distance is the
+  /// minimum over its pairs, so a repeated key adds nothing). Classes are
+  /// numbered in first-occurrence order, so a class's first member is its
+  /// smallest, and do not depend on ε; only each class's first member is
+  /// enumerated. The keys come from `targets.target_of` when it holds one
+  /// entry per pair, each naming a target equal to its pair (anything else
+  /// there is kInvalidArgument), and from a fold of `pairs` when it is
+  /// empty. Resource failures surface as Status
   /// instead of crashing: a build whose counting pass predicts more than
   /// `options.max_memory_bytes` of graph storage (weight lane included)
   /// returns kResourceExhausted before allocating, and the
@@ -217,27 +242,47 @@ class CoverageGraph {
       const std::vector<int>& group_begin, const WeightedTargets& targets,
       const CoverageBuildOptions& options);
 
-  /// Bytes of heap storage this graph's vectors occupy (capacity-exact for
-  /// a freshly built graph). The same formula the TryBuild* memory gate
-  /// evaluates pre-allocation.
+  /// Bytes of heap storage a graph with `num_edges` stored (class) edges
+  /// occupies: both CSR directions, the candidate → class map, and one
+  /// forward offset per class, priced as one per candidate — the most
+  /// classes there can be. So it is capacity-exact for a freshly built
+  /// graph whose candidates did not fold, and otherwise over by 8 bytes
+  /// per candidate folded away. The same formula the TryBuild* memory
+  /// gate evaluates pre-allocation.
   static size_t EstimateBytes(size_t num_edges, size_t num_candidates,
                               size_t num_targets, bool weighted);
 
-  int num_candidates() const { return static_cast<int>(forward_offsets_.size()) - 1; }
+  int num_candidates() const { return static_cast<int>(class_of_.size()); }
   int num_targets() const { return static_cast<int>(root_distance_.size()); }
+  /// Stored edges: one row per class, so a folded candidate adds none.
   size_t num_edges() const { return forward_endpoint_.size(); }
+
+  /// Number of candidate classes (== num_candidates() when unfolded).
+  int num_classes() const {
+    return forward_offsets_.empty()
+               ? 0
+               : static_cast<int>(forward_offsets_.size()) - 1;
+  }
+
+  /// Class of candidate `u`. Classes are numbered in first-occurrence
+  /// order: class c's smallest member is smaller than class c + 1's.
+  int ClassOf(int u) const { return class_of_[static_cast<size_t>(u)]; }
 
   /// Targets covered by candidate `u` with their distances.
   EdgeRange EdgesOf(int u) const { return EdgeRange(ForwardLanesOf(u)); }
 
-  /// Candidates covering target `w` with their distances.
+  /// Classes covering target `w` with their distances.
   EdgeRange CoveringOf(int w) const { return EdgeRange(BackwardLanesOf(w)); }
 
   /// Raw SoA lanes of candidate u's forward row (targets + distances) —
-  /// what the SIMD gain/update kernels stream.
+  /// what the SIMD gain/update kernels stream. The row of its class.
   EdgeLanes ForwardLanesOf(int u) const;
 
-  /// Raw SoA lanes of target w's backward row (coverers + distances).
+  /// Raw SoA lanes of class c's forward row, shared by all its members.
+  EdgeLanes ClassLanesOf(int c) const;
+
+  /// Raw SoA lanes of target w's backward row: the covering classes (not
+  /// candidates) and their distances.
   EdgeLanes BackwardLanesOf(int w) const;
 
   /// d(r, pair_w): the always-available root coverage distance of target w.
@@ -274,8 +319,8 @@ class CoverageGraph {
   double CostOfSelection(std::span<const int> selected,
                          std::span<float> best_scratch) const;
 
-  /// Mean forward degree of candidates (graph sparsity diagnostic; §4.4's
-  /// running-time discussion depends on it).
+  /// Mean forward degree over candidates, not classes (graph sparsity
+  /// diagnostic; §4.4's running-time discussion depends on it).
   double AverageCandidateDegree() const;
 
   /// An empty graph (no candidates, no targets). Mostly useful as a
@@ -285,18 +330,21 @@ class CoverageGraph {
  private:
   /// The one enumeration-and-scatter implementation behind every builder,
   /// legacy Build* (infallible, no limit) and TryBuild* (memory-gated)
-  /// alike. Candidates are the `num_candidates` groups over `pairs` given
-  /// by the pair → group map `group_of` (-1 = in no group), or — the
-  /// identity grouping (kGrouped false, `group_of` null) — the pairs
-  /// themselves, with no singleton groups materialized; targets are
-  /// `targets`, weighted by `target_weights` unless that is null. The gate
-  /// runs between the counting and scatter passes, where the exact edge
-  /// total is known but nothing has been allocated yet.
+  /// alike. Rows are the `num_classes` groups over `pairs` given by the
+  /// pair → row map `group_of` (-1 = in no row; such pairs are left out of
+  /// the concept buckets), or — the identity grouping (kGrouped false,
+  /// `group_of` null) — the pairs themselves, with no singleton groups
+  /// materialized; `class_of` maps every candidate to its row and becomes
+  /// the graph's map. Targets are `targets`, weighted by `target_weights`
+  /// unless that is null. The gate runs between the counting and scatter
+  /// passes, where the exact edge total is known but nothing has been
+  /// allocated yet.
   template <bool kGrouped>
   static Result<CoverageGraph> BuildForGroupsImpl(
       const PairDistance& distance,
       const std::vector<ConceptSentimentPair>& pairs,
-      const std::vector<int>* group_of, int num_candidates,
+      const std::vector<int>* group_of, int num_classes,
+      std::vector<int32_t> class_of,
       const std::vector<ConceptSentimentPair>& targets,
       const std::vector<double>* target_weights,
       const CoverageBuildOptions& options);
@@ -307,7 +355,7 @@ class CoverageGraph {
   /// `shard_degree[s][u]` is the first forward_edges_ slot of shard s's
   /// slice of candidate u's row; slices are consecutive in shard order, so
   /// after the builders' scatter pass it holds the slice end.
-  void PrepareForwardScatter(int num_candidates,
+  void PrepareForwardScatter(int num_classes,
                              std::vector<std::vector<size_t>>& shard_degree);
 
   /// Prefix-sums the per-target covering counts into backward_offsets_ and
@@ -321,9 +369,11 @@ class CoverageGraph {
   void PrepareBackwardFill(int num_targets,
                            const std::vector<size_t>& backward_degree);
 
-  // Forward CSR, structure-of-arrays: candidate u's row is
-  // forward_endpoint_/forward_distance_[forward_offsets_[u] ..
-  // forward_offsets_[u + 1]). Lanes are 64-byte aligned for the SIMD
+  // Candidate → class map; candidate u's row is its class's.
+  std::vector<int32_t> class_of_;
+  // Forward CSR, structure-of-arrays: class c's row is
+  // forward_endpoint_/forward_distance_[forward_offsets_[c] ..
+  // forward_offsets_[c + 1]). Lanes are 64-byte aligned for the SIMD
   // kernels' streaming loads.
   std::vector<size_t> forward_offsets_;
   AlignedVector<int32_t> forward_endpoint_;
@@ -342,10 +392,11 @@ class CoverageGraph {
 /// the same concept and bit-identical sentiment (-0.0 read as +0.0, so
 /// exactly ConceptSentimentPair::operator==, except that copies of one NaN
 /// fold too) becomes one target whose weight is its multiplicity, in
-/// first-occurrence order. Unlike DedupePairs this never moves a
-/// sentiment, so a graph over the folded targets has exactly the costs of
-/// the graph over P: folded pairs have identical edges, and every weight
-/// and distance is an integer, so each weighted sum is exact.
+/// first-occurrence order, and `target_of` records where each pair went.
+/// Unlike DedupePairs this never moves a sentiment, so a graph over the
+/// folded targets has exactly the costs of the graph over P: folded pairs
+/// have identical edges, and every weight and distance is an integer, so
+/// each weighted sum is exact.
 WeightedTargets FoldTargets(const std::vector<ConceptSentimentPair>& pairs);
 
 /// Collapses duplicate pairs: pairs with the same concept whose sentiments

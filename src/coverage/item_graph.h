@@ -36,12 +36,13 @@ struct ItemGraph {
 ///
 /// The target side is folded (FoldTargets): pairs with equal concept and
 /// equal sentiment share one target weighted by their multiplicity, in
-/// first-occurrence order. Candidates, `group_begin`, `group_origin` and
-/// `occurrences` are exactly those of the unfolded graph, and every
-/// selection costs the same in both, so greedy and local search pick the
-/// same selection bit for bit; exact solvers may break ties between
-/// equal-cost optima differently. `graph.num_edges()` counts the folded
-/// edges.
+/// first-occurrence order. So is the candidate side: candidates whose pairs
+/// carry the same fold keys share one stored row (CoverageGraph classes).
+/// Candidates, `group_begin`, `group_origin` and `occurrences` are exactly
+/// those of the unfolded graph, and every selection costs the same in
+/// both, so greedy and local search pick the same selection bit for bit;
+/// exact solvers may break ties between equal-cost optima differently.
+/// `graph.num_edges()` counts the stored (folded) edges.
 ///
 /// `options` go to the CoverageGraph TryBuild*Weighted constructors, so an
 /// over-budget graph surfaces as kResourceExhausted (and the

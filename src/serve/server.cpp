@@ -24,10 +24,24 @@ obs::Gauge* InflightGauge() {
   return gauge;
 }
 
-obs::Counter* ServeCounter(const char* name) {
-  // One interned handle per name; the registry returns stable pointers so
-  // the static map here costs a lookup only on first use per call site.
-  return obs::MetricsRegistry::Global().GetCounter(name);
+/// A counter name as a template argument, so each name gets its own
+/// ServeCounter instantiation and with it its own function-local static.
+template <size_t N>
+struct CounterName {
+  constexpr CounterName(const char (&name)[N]) {  // NOLINT: implicit by design
+    std::copy_n(name, N, value);
+  }
+  char value[N];
+};
+
+/// The registry handle of counter `kName`, looked up once: the registry
+/// takes a global mutex and searches a map, which would otherwise happen on
+/// every cache hit, metrics enabled or not.
+template <CounterName kName>
+obs::Counter* ServeCounter() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Global().GetCounter(kName.value);
+  return counter;
 }
 
 const std::vector<double>& LatencyBounds() {
@@ -260,7 +274,7 @@ void SummaryServer::JournalMutation(const Item* item, uint64_t epoch_after) {
     OSRS_LOG(slog::Level::kWarn, "serve", "journal append failed",
              {"code", StatusCodeToString(status.code())},
              {"detail", status.message()});
-    ServeCounter("osrs.serve.journal_errors")->Increment();
+    ServeCounter<"osrs.serve.journal_errors">()->Increment();
   }
   // Compaction both bounds replay time (size threshold) and self-heals a
   // poisoned journal: the fresh snapshot carries the full in-memory state,
@@ -271,9 +285,9 @@ void SummaryServer::JournalMutation(const Item* item, uint64_t epoch_after) {
       OSRS_LOG(slog::Level::kWarn, "serve", "journal compaction failed",
                {"code", StatusCodeToString(compacted.code())},
                {"detail", compacted.message()});
-      ServeCounter("osrs.serve.journal_errors")->Increment();
+      ServeCounter<"osrs.serve.journal_errors">()->Increment();
     } else {
-      ServeCounter("osrs.serve.compactions")->Increment();
+      ServeCounter<"osrs.serve.compactions">()->Increment();
     }
   }
 }
@@ -300,12 +314,17 @@ void SummaryServer::UpdateItem(Item item) {
   MutexLock mutation_lock(mutation_mutex_);
   auto snapshot = std::make_shared<const Item>(std::move(item));
   uint64_t next = 0;
+  // Usually the last reference to the replaced item: declared before the
+  // lock so the item is freed after the unlock, not under the lock every
+  // Serve() takes.
+  std::shared_ptr<const Item> replaced;
   {
     // Swap, bump and version under one lock, so no reader pairs the new
     // item with the old epoch or version (or the reverse).
     MutexLock lock(items_mutex_);
     next = epoch_.Bump();
     ItemState& served = items_[snapshot->id];
+    replaced = std::move(served.item);
     served.item = snapshot;
     served.version = next;
   }
@@ -323,7 +342,7 @@ Status SummaryServer::ForceSnapshot() {
   }
   MutexLock mutation_lock(mutation_mutex_);
   OSRS_RETURN_IF_ERROR(store_->Compact(CaptureState()));
-  ServeCounter("osrs.serve.compactions")->Increment();
+  ServeCounter<"osrs.serve.compactions">()->Increment();
   return Status::OK();
 }
 
@@ -381,7 +400,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
       MutexLock lock(counters_mutex_);
       ++counters_.rejected;
     }
-    ServeCounter("osrs.serve.rejected")->Increment();
+    ServeCounter<"osrs.serve.rejected">()->Increment();
     OSRS_LOG_T(slog::Level::kInfo, "serve", trace.context.trace_id,
                "request rejected",
                {"request_id", trace.context.request_id},
@@ -468,7 +487,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         ++counters_.completed;
         ++counters_.cache_hits;
       }
-      ServeCounter("osrs.serve.cache_hit")->Increment();
+      ServeCounter<"osrs.serve.cache_hit">()->Increment();
       ServeResponse response;
       response.status = Status::OK();
       response.summary = std::move(cached);
@@ -477,7 +496,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
       finalize(&response);
       return response;
     }
-    ServeCounter("osrs.serve.cache_miss")->Increment();
+    ServeCounter<"osrs.serve.cache_miss">()->Increment();
   }
 
   std::shared_ptr<Flight> flight;
@@ -511,7 +530,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         ++counters_.admitted;
         ++counters_.coalesced;
       }
-      ServeCounter("osrs.serve.coalesced")->Increment();
+      ServeCounter<"osrs.serve.coalesced">()->Increment();
     } else {
       // Admission control. Queue depth first (absolute backstop), then the
       // wait estimate once enough solve costs have been observed.
@@ -563,7 +582,7 @@ ServeResponse SummaryServer::ServeImpl(const ServeRequest& request) {
         MutexLock counters_lock(counters_mutex_);
         ++counters_.admitted;
       }
-      ServeCounter("osrs.serve.admitted")->Increment();
+      ServeCounter<"osrs.serve.admitted">()->Increment();
       work_cv_.NotifyOne();
     }
   }
@@ -647,7 +666,7 @@ void SummaryServer::WatchdogLoop() {
         MutexLock lock(counters_mutex_);
         ++counters_.watchdog_stalls;
       }
-      ServeCounter("osrs.serve.watchdog_stalls")->Increment();
+      ServeCounter<"osrs.serve.watchdog_stalls">()->Increment();
       OSRS_LOG(slog::Level::kWarn, "serve", "watchdog cancelled stalled solve",
                {"worker", static_cast<uint64_t>(w)},
                {"stalled_ms", static_cast<double>(now_ns - start_ns) * 1e-6},
@@ -726,7 +745,7 @@ void SummaryServer::ProcessFlight(const std::shared_ptr<Flight>& flight,
     MutexLock lock(counters_mutex_);
     ++counters_.solves;
   }
-  ServeCounter("osrs.serve.solves")->Increment();
+  ServeCounter<"osrs.serve.solves">()->Increment();
 
   if (solved.ok()) {
     ObserveSolveCost(solve_ms);
@@ -850,16 +869,16 @@ void SummaryServer::CompleteFlight(const std::shared_ptr<Flight>& flight,
   }
   switch (response.outcome) {
     case ServeOutcome::kShed:
-      ServeCounter("osrs.serve.shed")->Add(requests);
+      ServeCounter<"osrs.serve.shed">()->Add(requests);
       break;
     case ServeOutcome::kFailed:
-      ServeCounter("osrs.serve.failed")->Add(requests);
+      ServeCounter<"osrs.serve.failed">()->Add(requests);
       break;
     default:
-      ServeCounter("osrs.serve.completed")->Add(requests);
+      ServeCounter<"osrs.serve.completed">()->Add(requests);
       break;
   }
-  if (response.degraded) ServeCounter("osrs.serve.degraded")->Add(requests);
+  if (response.degraded) ServeCounter<"osrs.serve.degraded">()->Add(requests);
   // Close the root span and move the finished trace onto the response:
   // the leader reads it back as its own; followers copy it and restamp.
   flight->trace.EndSpan(flight->root_span);

@@ -16,16 +16,16 @@
 namespace osrs {
 namespace {
 
-/// Marginal gain of adding candidate u when each target w is currently
-/// covered at distance best[w]: Σ_w max(0, best[w] - d(u, w)), streamed
-/// through the dispatched SIMD kernel over u's SoA row. Each edge scanned
-/// is one coverage-distance evaluation, tallied in `evals` (a reference —
-/// the former int64_t* out-param accepted null and crashed at the first
-/// edge) and flushed to the trace once per phase.
-double GainOf(const CoverageGraph& graph, const float* best, int u,
-              EvalCounter& evals) {
+/// Marginal gain of adding any member of class c when each target w is
+/// currently covered at distance best[w]: Σ_w max(0, best[w] - d(c, w)),
+/// streamed through the dispatched SIMD kernel over c's SoA row. Each edge
+/// scanned is one coverage-distance evaluation, tallied in `evals` (a
+/// reference — the former int64_t* out-param accepted null and crashed at
+/// the first edge) and flushed to the trace once per phase.
+double ClassGainOf(const CoverageGraph& graph, const float* best, int c,
+                   EvalCounter& evals) {
   OSRS_DCHECK(std::addressof(evals) != nullptr);
-  const CoverageGraph::EdgeLanes lanes = graph.ForwardLanesOf(u);
+  const CoverageGraph::EdgeLanes lanes = graph.ClassLanesOf(c);
   evals.distance_evals += static_cast<int64_t>(lanes.size);
   return simd::GainReduce(lanes.endpoint, lanes.distance, lanes.size, best,
                           graph.target_weights_or_null());
@@ -132,6 +132,7 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
   Stopwatch watch;
   const int num_targets = graph.num_targets();
   const int num_candidates = graph.num_candidates();
+  const int num_classes = graph.num_classes();
   const double* target_weights = graph.target_weights_or_null();
 
   // All per-solve scratch lives in the thread's arena and is reclaimed
@@ -146,12 +147,30 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
   std::copy(graph.root_distances_f32(),
             graph.root_distances_f32() + num_targets, best.begin());
 
+  // The heap keeps one entry per candidate, so every pick, tie and
+  // zero-gain pick is the unfolded graph's; gains and key deltas are
+  // computed once per class, whose members share one row and so one gain
+  // at every step. Each class lists its members ascending: first_member[c],
+  // then next_member[u] until -1.
+  std::span<int32_t> first_member =
+      arena.AllocateArray<int32_t>(static_cast<size_t>(num_classes));
+  std::span<int32_t> next_member =
+      arena.AllocateArray<int32_t>(static_cast<size_t>(num_candidates));
+  std::fill(first_member.begin(), first_member.end(), int32_t{-1});
+  for (int u = num_candidates; u-- > 0;) {
+    int32_t& first = first_member[static_cast<size_t>(graph.ClassOf(u))];
+    next_member[static_cast<size_t>(u)] = first;
+    first = u;
+  }
+
   // Initialize the max-heap with δ(p, {r}) for every candidate. Before any
   // selection there is no incumbent, so a tripped budget here is a plain
   // error.
   EvalCounter evals;
   std::span<double> initial_gain =
       arena.AllocateArray<double>(static_cast<size_t>(num_candidates));
+  std::span<double> class_gain =
+      arena.AllocateArray<double>(static_cast<size_t>(num_classes));
   {
     obs::TraceSpan init_span(obs::Phase::kHeapInit);
     for (int u = 0; u < num_candidates; ++u) {
@@ -163,8 +182,13 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
           return init_status;
         }
       }
+      const int c = graph.ClassOf(u);
+      if (first_member[static_cast<size_t>(c)] == u) {
+        class_gain[static_cast<size_t>(c)] =
+            ClassGainOf(graph, best.data(), c, evals);
+      }
       initial_gain[static_cast<size_t>(u)] =
-          GainOf(graph, best.data(), u, evals);
+          class_gain[static_cast<size_t>(c)];
     }
   }
   obs::TraceStat(obs::Stat::kCandidatesConsidered, num_candidates);
@@ -178,16 +202,18 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
   int64_t key_updates = 0;
   int64_t heap_pops = 0;
 
-  // Accumulates per-candidate key deltas across all targets improved by
-  // one selection, so each affected candidate gets a single heap update.
+  // Accumulates per-class key deltas across all targets improved by one
+  // selection, so each affected candidate gets a single heap update.
   // Dense array + touched list instead of a hash map: deltas are strictly
   // positive, so pending_delta[c] == 0.0 marks "not yet touched this
-  // round" and the reset after applying is O(touched).
+  // round" and the reset after applying is O(touched). A class's delta is
+  // summed in the order its every member's would be, so it is the same
+  // double.
   std::span<double> pending_delta =
-      arena.AllocateArray<double>(static_cast<size_t>(num_candidates));
+      arena.AllocateArray<double>(static_cast<size_t>(num_classes));
   std::fill(pending_delta.begin(), pending_delta.end(), 0.0);
   std::span<int32_t> touched =
-      arena.AllocateArray<int32_t>(static_cast<size_t>(num_candidates));
+      arena.AllocateArray<int32_t>(static_cast<size_t>(num_classes));
 
   obs::TraceSpan select_span(obs::Phase::kGreedyIterations);
   for (int round = 0; round < k && !heap.empty(); ++round) {
@@ -215,6 +241,9 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
     // targets (the neighbor-of-neighbor updates of Algorithm 2, lines
     // 7-9). This stays scalar — the backward walk needs the old best per
     // target anyway — while the gain scans above and below vectorize.
+    // Backward rows list classes. A class with a picked member never
+    // changes again (each of its targets already has best <= d), except
+    // the chosen's own class this round, whose other members drop to 0.
     const CoverageGraph::EdgeLanes edges = graph.ForwardLanesOf(chosen);
     evals.distance_evals += static_cast<int64_t>(edges.size);
     for (size_t i = 0; i < edges.size; ++i) {
@@ -230,26 +259,28 @@ Result<SummaryResult> GreedySummarizer::SummarizeEager(
       result.cost -= (old_best - new_best) * target_weight;
       const CoverageGraph::EdgeLanes covering = graph.BackwardLanesOf(w);
       for (size_t j = 0; j < covering.size; ++j) {
-        const int32_t candidate = covering.endpoint[j];
-        if (!heap.Contains(candidate)) continue;
+        const int32_t cls = covering.endpoint[j];
         const double back_distance =
             static_cast<double>(covering.distance[j]);
         double before = std::max(0.0, old_best - back_distance);
         double after = std::max(0.0, new_best - back_distance);
         if (before != after) {
-          double& slot = pending_delta[static_cast<size_t>(candidate)];
-          if (slot == 0.0) touched[num_touched++] = candidate;
+          double& slot = pending_delta[static_cast<size_t>(cls)];
+          if (slot == 0.0) touched[num_touched++] = cls;
           slot += (before - after) * target_weight;
         }
       }
     }
     for (size_t t = 0; t < num_touched; ++t) {
-      const int candidate = touched[t];
-      heap.UpdateKey(candidate, heap.KeyOf(candidate) -
-                                    pending_delta[static_cast<size_t>(
-                                        candidate)]);
-      pending_delta[static_cast<size_t>(candidate)] = 0.0;
-      ++key_updates;
+      const size_t cls = static_cast<size_t>(touched[t]);
+      const double delta = pending_delta[cls];
+      pending_delta[cls] = 0.0;
+      for (int32_t member = first_member[cls]; member >= 0;
+           member = next_member[static_cast<size_t>(member)]) {
+        if (!heap.Contains(member)) continue;
+        heap.UpdateKey(member, heap.KeyOf(member) - delta);
+        ++key_updates;
+      }
     }
     result.prefix_costs.push_back(result.cost);
   }
@@ -285,7 +316,24 @@ Result<SummaryResult> GreedySummarizer::SummarizeLazy(
   std::span<uint8_t> selected_flag =
       arena.AllocateArray<uint8_t>(static_cast<size_t>(num_candidates));
   std::fill(selected_flag.begin(), selected_flag.end(), uint8_t{0});
+  // Members of a class share one row, so one gain: class_gain[c] is c's
+  // gain as of fresh_at[c] picks (-1 = not yet computed), and stays fresh
+  // until the next pick moves best[]. Entries stay per candidate.
+  const size_t num_classes = static_cast<size_t>(graph.num_classes());
+  std::span<double> class_gain = arena.AllocateArray<double>(num_classes);
+  std::span<int32_t> fresh_at = arena.AllocateArray<int32_t>(num_classes);
+  std::fill(fresh_at.begin(), fresh_at.end(), int32_t{-1});
   EvalCounter evals;
+  int32_t picks = 0;
+  auto gain_of = [&](int u) {
+    const size_t c = static_cast<size_t>(graph.ClassOf(u));
+    if (fresh_at[c] != picks) {
+      class_gain[c] =
+          ClassGainOf(graph, best.data(), static_cast<int>(c), evals);
+      fresh_at[c] = picks;
+    }
+    return class_gain[c];
+  };
   {
     obs::TraceSpan init_span(obs::Phase::kHeapInit);
     for (int u = 0; u < num_candidates; ++u) {
@@ -297,7 +345,7 @@ Result<SummaryResult> GreedySummarizer::SummarizeLazy(
           return init_status;
         }
       }
-      heap.Push({GainOf(graph, best.data(), u, evals), u});
+      heap.Push({gain_of(u), u});
     }
   }
   obs::TraceStat(obs::Stat::kCandidatesConsidered, num_candidates);
@@ -326,11 +374,14 @@ Result<SummaryResult> GreedySummarizer::SummarizeLazy(
       const int u = heap.Pop().id;
       ++heap_pops;
       if (selected_flag[static_cast<size_t>(u)] != 0) continue;
-      double fresh = GainOf(graph, best.data(), u, evals);
+      // One recompute per member pop, as on the unfolded graph, though
+      // only a class's first pop since the last pick scans its row.
+      const double fresh = gain_of(u);
       ++recomputes;
       if (heap.empty() || fresh >= heap.Top().gain) {
         selected_flag[static_cast<size_t>(u)] = 1;
         result.selected.push_back(u);
+        ++picks;
         // Apply the pick with the vectorized min-update: best[] improves
         // in place and the returned covered-cost decrease follows the
         // fixed accumulation-order contract, so it is bit-identical

@@ -72,9 +72,9 @@ Result<SummaryResult> IlpSummarizer::Summarize(const CoverageGraph& graph,
   SummaryResult result;
   result.approximate = approximate;
   result.stop_reason = stop_reason;
-  for (size_t u = 0; u < model.x_vars.size(); ++u) {
-    if (mip.values[static_cast<size_t>(model.x_vars[u])] > 0.5) {
-      result.selected.push_back(static_cast<int>(u));
+  for (size_t f = 0; f < model.x_vars.size(); ++f) {
+    if (mip.values[static_cast<size_t>(model.x_vars[f])] > 0.5) {
+      result.selected.push_back(model.facility_candidate[f]);
     }
   }
   result.cost = graph.CostOfSelection(result.selected);

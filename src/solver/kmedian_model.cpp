@@ -17,11 +17,19 @@ KMedianModel BuildKMedianModel(const CoverageGraph& graph, int k,
     if (std::abs(c - std::round(c)) > 1e-12) model.integral_costs = false;
   };
 
-  // Facility-opening variables x_u.
-  model.x_vars.reserve(static_cast<size_t>(graph.num_candidates()));
+  // Facility-opening variables x_u, one per candidate class (backward
+  // rows list classes), each opening the class's smallest member.
+  const size_t num_classes = static_cast<size_t>(graph.num_classes());
+  model.facility_candidate.assign(num_classes, -1);
   for (int u = 0; u < graph.num_candidates(); ++u) {
-    model.x_vars.push_back(
-        lp.AddVariable(0.0, 1.0, 0.0, integral_x, StrFormat("x_%d", u)));
+    int& candidate =
+        model.facility_candidate[static_cast<size_t>(graph.ClassOf(u))];
+    if (candidate < 0) candidate = u;
+  }
+  model.x_vars.reserve(num_classes);
+  for (int candidate : model.facility_candidate) {
+    model.x_vars.push_back(lp.AddVariable(0.0, 1.0, 0.0, integral_x,
+                                          StrFormat("x_%d", candidate)));
   }
 
   // Cardinality row Σ x_u <= k.
@@ -49,8 +57,10 @@ KMedianModel BuildKMedianModel(const CoverageGraph& graph, int k,
       if (distance >= root_cost) continue;  // dominated by the root
       const int32_t u = lanes.endpoint[i];
       note_cost(distance * target_weight);
-      int y = lp.AddVariable(0.0, kLpInfinity, distance * target_weight,
-                             false, StrFormat("y_%d_%d", u, w));
+      int y = lp.AddVariable(
+          0.0, kLpInfinity, distance * target_weight, false,
+          StrFormat("y_%d_%d", model.facility_candidate[static_cast<size_t>(u)],
+                    w));
       assignment.emplace_back(y, 1.0);
       OSRS_CHECK(lp.AddConstraint(
                        {{y, 1.0},

@@ -11,8 +11,12 @@ namespace osrs {
 /// The §4.2 k-median (I)LP built from a coverage graph.
 struct KMedianModel {
   LpProblem problem;
-  /// problem variable index of x_u for each candidate u (|U| entries).
+  /// Problem variable index of x_f for each facility f: one per candidate
+  /// class (graph.num_classes() entries). Members of a class have
+  /// identical rows, so a second open member would serve nothing.
   std::vector<int> x_vars;
+  /// The candidate facility f opens: its class's smallest member.
+  std::vector<int> facility_candidate;
   /// True when every edge weight (and root distance) is integral, so every
   /// integral solution has an integral objective (enables MIP pruning).
   bool integral_costs = true;
@@ -31,7 +35,9 @@ struct KMedianModel {
 /// y_rw ≤ 1), and Σ x = k is relaxed to ≤ k, which preserves the optimum
 /// because the coverage cost is monotone non-increasing in the open set.
 /// Edges at least as expensive as the root assignment are pruned: they can
-/// never improve the objective.
+/// never improve the objective. The facilities u are the graph's candidate
+/// classes, which leaves the optimum unchanged: opening several members of
+/// one class costs the same as opening one.
 KMedianModel BuildKMedianModel(const CoverageGraph& graph, int k,
                                bool integral_x);
 

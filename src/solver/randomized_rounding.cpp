@@ -66,7 +66,11 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
   // into the result before the frame rewinds.
   Arena& arena = PerThreadSolveArena();
   ArenaFrame frame(arena);
+  // Facilities are candidate classes; a drawn facility opens its class's
+  // smallest member, and slots left over once every class is open go to
+  // candidates, so a summary still has k entries.
   const size_t num_facilities = model.x_vars.size();
+  const size_t num_candidates = static_cast<size_t>(graph.num_candidates());
 
   // Fractional opening weights q(p) ∝ x_p (Algorithm 1, line 2).
   std::span<double> base_weights = arena.AllocateArray<double>(num_facilities);
@@ -90,10 +94,19 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
       return a < b;
     });
     SummaryResult result;
-    result.selected.assign(order.begin(),
-                           order.begin() + std::min<size_t>(
-                                               static_cast<size_t>(k),
-                                               order.size()));
+    const size_t opened = std::min<size_t>(static_cast<size_t>(k),
+                                           order.size());
+    for (size_t i = 0; i < opened; ++i) {
+      result.selected.push_back(
+          model.facility_candidate[static_cast<size_t>(order[i])]);
+    }
+    // Every class is open: the rest are the smallest unopened members.
+    for (int u = 0; result.selected.size() < static_cast<size_t>(k); ++u) {
+      if (std::find(result.selected.begin(), result.selected.end(), u) ==
+          result.selected.end()) {
+        result.selected.push_back(u);
+      }
+    }
     result.cost = graph.CostOfSelection(result.selected);
     result.seconds = watch.ElapsedSeconds();
     result.work = lp.iterations;
@@ -112,7 +125,7 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
   std::span<double> weights = arena.AllocateArray<double>(num_facilities);
   std::span<int32_t> selected =
       arena.AllocateArray<int32_t>(static_cast<size_t>(k));
-  std::span<uint8_t> chosen = arena.AllocateArray<uint8_t>(num_facilities);
+  std::span<uint8_t> chosen = arena.AllocateArray<uint8_t>(num_candidates);
   for (int trial = 0; trial < std::max(1, options_.trials); ++trial) {
     Status budget_status = budget.Check(lp.iterations + trial);
     if (!budget_status.ok()) {
@@ -128,7 +141,7 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
     std::copy(base_weights.begin(), base_weights.end(), weights.begin());
     size_t num_selected = 0;
     // Sample without replacement (Algorithm 1, lines 4-6). If the LP opens
-    // fewer than k candidates fractionally, the support runs dry; the
+    // fewer than k facilities fractionally, the support runs dry; the
     // remaining slots are filled uniformly from the unchosen candidates,
     // which cannot increase the cost.
     for (int round = 0; round < k; ++round) {
@@ -136,7 +149,7 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
       for (double w : weights) total += w;
       if (total <= 0.0) break;
       size_t pick = rng.NextDiscrete(std::span<const double>(weights));
-      selected[num_selected++] = static_cast<int32_t>(pick);
+      selected[num_selected++] = model.facility_candidate[pick];
       weights[pick] = 0.0;
     }
     if (static_cast<int>(num_selected) < k) {
@@ -145,7 +158,7 @@ Result<SummaryResult> RandomizedRoundingSummarizer::Summarize(
         chosen[static_cast<size_t>(selected[s])] = 1;
       }
       auto uniform_order =
-          rng.SampleWithoutReplacement(num_facilities, num_facilities);
+          rng.SampleWithoutReplacement(num_candidates, num_candidates);
       for (size_t u : uniform_order) {
         if (static_cast<int>(num_selected) >= k) break;
         if (chosen[u] == 0) selected[num_selected++] = static_cast<int32_t>(u);

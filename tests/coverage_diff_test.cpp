@@ -7,16 +7,20 @@
 // graphs — same edges, same weights, same CSR order.
 //
 // The item-graph tests then check the folded production graph
-// (TryBuildItemGraph: equal pairs share one weighted target) against the
+// (TryBuildItemGraph: equal pairs share one weighted target, and
+// candidates with equal fold keys share one class row) against the
 // unfolded raw builders: the same graph up to the fold, and the same
-// answers from every solver. The last test does the same for the
-// auto_epsilon elbow probe, which builds its grid graphs folded too.
+// answers from every solver — greedy bit for bit down to its per-pick
+// costs, work counter and work cut-offs. The last test does the same for
+// the auto_epsilon elbow probe, which builds its grid graphs folded too.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,23 +163,29 @@ void ExpectEdgesEqual(const std::vector<RefEdge>& expected,
     EXPECT_EQ(expected[i].target, actual[i].target) << context;
     EXPECT_DOUBLE_EQ(expected[i].weight, actual[i].weight) << context;
   }
-  // The backward CSR must mirror the forward one exactly.
+  // The backward CSR must mirror the stored (class) rows exactly.
   size_t backward_total = 0;
   for (int w = 0; w < graph.num_targets(); ++w) {
     for (const auto& e : graph.CoveringOf(w)) {
       ++backward_total;
       bool found = false;
-      for (const auto& f : graph.EdgesOf(e.endpoint)) {
+      for (const auto& f :
+           CoverageGraph::EdgeRange(graph.ClassLanesOf(e.endpoint))) {
         if (f.endpoint == w && f.weight == e.weight) {
           found = true;
           break;
         }
       }
-      EXPECT_TRUE(found) << context << " backward edge (" << e.endpoint
+      EXPECT_TRUE(found) << context << " backward edge (class " << e.endpoint
                          << ", " << w << ") has no forward twin";
     }
   }
   EXPECT_EQ(backward_total, graph.num_edges()) << context;
+  size_t class_total = 0;
+  for (int c = 0; c < graph.num_classes(); ++c) {
+    class_total += graph.ClassLanesOf(c).size;
+  }
+  EXPECT_EQ(class_total, graph.num_edges()) << context;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,7 +322,7 @@ TEST(CoverageDiffTest, GroupsMatchNaiveReferenceRandomized) {
       options.num_threads = threads;
       Result<CoverageGraph> runs = CoverageGraph::TryBuildForGroupsWeighted(
           dist, pairs, RunOffsets(groups),
-          {pairs, std::vector<double>(pairs.size(), 1.0)}, options);
+          {pairs, std::vector<double>(pairs.size(), 1.0), {}}, options);
       ASSERT_TRUE(runs.ok()) << runs.status().ToString();
       ASSERT_EQ(runs->num_candidates(), static_cast<int>(groups.size()));
       ExpectEdgesEqual(expected, *runs, "runs");
@@ -575,6 +585,75 @@ void ExpectFoldOf(const CoverageGraph& raw,
   EXPECT_EQ(folded.EmptySummaryCost(), raw.EmptySummaryCost());
 }
 
+/// The reference candidate classes, by definition: two candidates share a
+/// class iff they reach the same set of folded targets through their pairs
+/// (a pair its own target; a run, given by `group_begin`, the targets of
+/// its pairs), numbered in first-occurrence order. `group_begin` empty
+/// means pair granularity.
+std::vector<int> NaiveClasses(const std::vector<ConceptSentimentPair>& pairs,
+                              const std::vector<int>& group_begin) {
+  std::vector<double> weights;
+  const std::vector<int> target_of = NaiveFold(pairs, &weights);
+  std::vector<std::set<int>> keys;
+  if (group_begin.empty()) {
+    for (int t : target_of) keys.push_back({t});
+  } else {
+    for (size_t g = 0; g + 1 < group_begin.size(); ++g) {
+      keys.emplace_back(target_of.begin() + group_begin[g],
+                        target_of.begin() + group_begin[g + 1]);
+    }
+  }
+  std::vector<std::set<int>> seen;
+  std::vector<int> class_of;
+  for (const std::set<int>& key : keys) {
+    auto it = std::find(seen.begin(), seen.end(), key);
+    class_of.push_back(static_cast<int>(it - seen.begin()));
+    if (it == seen.end()) seen.push_back(key);
+  }
+  return class_of;
+}
+
+/// The folded graph's classes are exactly the reference classes, with one
+/// stored row each.
+void ExpectClasses(const CoverageGraph& folded,
+                   const std::vector<int>& expected) {
+  ASSERT_EQ(folded.num_candidates(), static_cast<int>(expected.size()));
+  int num_classes = 0;
+  for (int u = 0; u < folded.num_candidates(); ++u) {
+    EXPECT_EQ(folded.ClassOf(u), expected[static_cast<size_t>(u)])
+        << "candidate " << u;
+    num_classes = std::max(num_classes, expected[static_cast<size_t>(u)] + 1);
+  }
+  EXPECT_EQ(folded.num_classes(), num_classes);
+}
+
+/// Byte-identical storage: class map, class rows, backward rows in order,
+/// root distances and target weights.
+void ExpectSameStorage(const CoverageGraph& a, const CoverageGraph& b) {
+  ASSERT_EQ(a.num_candidates(), b.num_candidates());
+  ASSERT_EQ(a.num_classes(), b.num_classes());
+  ASSERT_EQ(a.num_targets(), b.num_targets());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  auto same_lanes = [](CoverageGraph::EdgeLanes x, CoverageGraph::EdgeLanes y) {
+    return x.size == y.size &&
+           std::equal(x.endpoint, x.endpoint + x.size, y.endpoint) &&
+           std::equal(x.distance, x.distance + x.size, y.distance);
+  };
+  for (int u = 0; u < a.num_candidates(); ++u) {
+    EXPECT_EQ(a.ClassOf(u), b.ClassOf(u)) << "candidate " << u;
+  }
+  for (int c = 0; c < a.num_classes(); ++c) {
+    EXPECT_TRUE(same_lanes(a.ClassLanesOf(c), b.ClassLanesOf(c)))
+        << "class " << c;
+  }
+  for (int w = 0; w < a.num_targets(); ++w) {
+    EXPECT_TRUE(same_lanes(a.BackwardLanesOf(w), b.BackwardLanesOf(w)))
+        << "target " << w;
+    EXPECT_EQ(a.root_distance(w), b.root_distance(w));
+    EXPECT_EQ(a.target_weight(w), b.target_weight(w));
+  }
+}
+
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
 /// Optimum of the §4.2 LP relaxation of the k-median model over `graph`.
@@ -585,15 +664,48 @@ double RelaxationOptimum(const CoverageGraph& graph, int k) {
   return lp.objective;
 }
 
+std::vector<uint64_t> BitsOf(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double value : values) bits.push_back(Bits(value));
+  return bits;
+}
+
+/// Everything a greedy or local-search run reports but its timing.
+void ExpectSameRun(const Result<SummaryResult>& folded,
+                   const Result<SummaryResult>& raw) {
+  ASSERT_EQ(folded.ok(), raw.ok()) << folded.status().ToString() << " vs "
+                                   << raw.status().ToString();
+  if (!raw.ok()) {
+    EXPECT_EQ(folded.status().code(), raw.status().code());
+    return;
+  }
+  EXPECT_EQ(folded->selected, raw->selected);
+  EXPECT_EQ(Bits(folded->cost), Bits(raw->cost))
+      << folded->cost << " vs " << raw->cost;
+  EXPECT_EQ(BitsOf(folded->prefix_costs), BitsOf(raw->prefix_costs));
+  EXPECT_EQ(folded->work, raw->work);
+  EXPECT_EQ(folded->approximate, raw->approximate);
+  EXPECT_EQ(folded->stop_reason, raw->stop_reason);
+}
+
+/// RR solves compared and how many picked another selection on the folded
+/// graph than on the raw one.
+struct RrTally {
+  int solves = 0;
+  int changed = 0;
+};
+
 /// Greedy (eager and lazy) and local search must return bit-identical
-/// selections and costs on the folded and the raw graph, on both kernel
-/// backends; ILP must return equal costs. RR samples its selection from
-/// whichever optimal vertex of the LP relaxation the simplex returns, and
-/// the fold keeps the relaxation's optimum but not necessarily that vertex:
-/// RR shares the bound (equal LP optimum) and stays no cheaper than ILP on
-/// either graph, but its draw may differ.
+/// selections, costs, per-pick costs and work counters on the folded and
+/// the raw graph, on both kernel backends, and a max_solver_work cut-off
+/// must stop greedy at the same pick; ILP must return equal costs. RR
+/// samples its selection from whichever optimal vertex of the LP
+/// relaxation the simplex returns, and the fold keeps the relaxation's
+/// optimum but not necessarily that vertex: RR shares the bound (equal LP
+/// optimum) and stays no cheaper than ILP on either graph, but its draw
+/// may differ (counted in `rr_tally` when given).
 void ExpectSameSolves(const CoverageGraph& folded, const CoverageGraph& raw,
-                      int k) {
+                      int k, RrTally* rr_tally = nullptr) {
   GreedySummarizer eager;
   GreedySummarizer lazy(GreedyOptions{GreedyOptions::Heap::kLazy});
   LocalSearchSummarizer local_search;
@@ -604,13 +716,21 @@ void ExpectSameSolves(const CoverageGraph& folded, const CoverageGraph& raw,
     ScopedBackend scoped(backend);
     for (const auto& [name, solver] : exact_solvers) {
       SCOPED_TRACE(std::string(name) + " on " + simd::BackendName(backend));
-      auto on_folded = solver->Summarize(folded, k);
       auto on_raw = solver->Summarize(raw, k);
-      ASSERT_TRUE(on_folded.ok()) << on_folded.status().ToString();
       ASSERT_TRUE(on_raw.ok()) << on_raw.status().ToString();
-      EXPECT_EQ(on_folded->selected, on_raw->selected);
-      EXPECT_EQ(Bits(on_folded->cost), Bits(on_raw->cost))
-          << on_folded->cost << " vs " << on_raw->cost;
+      ExpectSameRun(solver->Summarize(folded, k), on_raw);
+      if (solver == &local_search) continue;
+      // A work bound trips at the same pick (its check reads the same
+      // work counter before every pick).
+      for (int64_t max_work : {int64_t{1}, on_raw->work / 3, on_raw->work / 2,
+                               on_raw->work}) {
+        if (max_work <= 0) continue;
+        SCOPED_TRACE("max_work " + std::to_string(max_work));
+        ExecutionBudget budget;
+        budget.SetMaxWork(max_work);
+        ExpectSameRun(solver->Summarize(folded, k, budget),
+                      solver->Summarize(raw, k, budget));
+      }
     }
   }
   auto ilp_folded = IlpSummarizer().Summarize(folded, k);
@@ -618,6 +738,7 @@ void ExpectSameSolves(const CoverageGraph& folded, const CoverageGraph& raw,
   ASSERT_TRUE(ilp_folded.ok()) << ilp_folded.status().ToString();
   ASSERT_TRUE(ilp_raw.ok()) << ilp_raw.status().ToString();
   EXPECT_EQ(ilp_folded->cost, ilp_raw->cost);
+  EXPECT_EQ(ilp_folded->cost, raw.CostOfSelection(ilp_folded->selected));
 
   const double relaxed = RelaxationOptimum(raw, k);
   EXPECT_NEAR(RelaxationOptimum(folded, k), relaxed,
@@ -628,8 +749,13 @@ void ExpectSameSolves(const CoverageGraph& folded, const CoverageGraph& raw,
   ASSERT_TRUE(rr_raw.ok()) << rr_raw.status().ToString();
   EXPECT_GE(rr_folded->cost, ilp_folded->cost);
   EXPECT_GE(rr_raw->cost, ilp_raw->cost);
+  EXPECT_EQ(rr_folded->selected.size(), rr_raw->selected.size());
   EXPECT_EQ(rr_folded->cost, folded.CostOfSelection(rr_folded->selected));
   EXPECT_EQ(rr_folded->cost, raw.CostOfSelection(rr_folded->selected));
+  if (rr_tally != nullptr) {
+    ++rr_tally->solves;
+    if (rr_folded->selected != rr_raw->selected) ++rr_tally->changed;
+  }
 }
 
 TEST(CoverageDiffTest, FoldTargetsMergesEqualPairsInFirstOccurrenceOrder) {
@@ -645,7 +771,9 @@ TEST(CoverageDiffTest, FoldTargetsMergesEqualPairsInFirstOccurrenceOrder) {
   EXPECT_EQ(folded.pairs[2], (ConceptSentimentPair{a, 0.25}));
   EXPECT_EQ(folded.pairs[3], (ConceptSentimentPair{b, -0.25}));
   EXPECT_EQ(folded.weights, (std::vector<double>{3.0, 2.0, 1.0, 1.0}));
+  EXPECT_EQ(folded.target_of, (std::vector<int32_t>{0, 1, 0, 2, 1, 0, 3}));
   EXPECT_TRUE(FoldTargets({}).pairs.empty());
+  EXPECT_TRUE(FoldTargets({}).target_of.empty());
 }
 
 TEST(CoverageDiffTest, FoldedItemGraphMatchesUnfoldedRandomized) {
@@ -655,6 +783,8 @@ TEST(CoverageDiffTest, FoldedItemGraphMatchesUnfoldedRandomized) {
                                               SummaryGranularity::kSentences,
                                               SummaryGranularity::kReviews};
   size_t total_pairs = 0, total_targets = 0;
+  size_t total_candidates = 0, total_classes = 0;
+  RrTally rr_tally;
   for (int round = 0; round < 12; ++round) {
     const int num_concepts = 2 + static_cast<int>(rng.NextUint64(10));
     Ontology onto = RandomOntology(rng, num_concepts, 0.2);
@@ -664,7 +794,7 @@ TEST(CoverageDiffTest, FoldedItemGraphMatchesUnfoldedRandomized) {
     const std::vector<ConceptSentimentPair> pairs =
         PairsOf(CollectPairs(item));
     for (SummaryGranularity granularity : granularities) {
-      std::vector<RefEdge> serial_edges;
+      CoverageGraph serial;
       for (int threads : kThreadCounts) {
         SCOPED_TRACE("round " + std::to_string(round) + " " +
                      SummaryGranularityToString(granularity) + " threads " +
@@ -682,21 +812,190 @@ TEST(CoverageDiffTest, FoldedItemGraphMatchesUnfoldedRandomized) {
                 : CoverageGraph::BuildForGroups(
                       dist, pairs, RunMembers(built->group_begin), threads);
         ExpectFoldOf(raw, pairs, folded);
+        ExpectClasses(folded, NaiveClasses(pairs, built->group_begin));
         if (threads == 1) {
-          serial_edges = GraphEdges(folded);
+          serial = folded;
           total_pairs += pairs.size();
           total_targets += static_cast<size_t>(folded.num_targets());
+          total_candidates += static_cast<size_t>(folded.num_candidates());
+          total_classes += static_cast<size_t>(folded.num_classes());
         } else {
-          ExpectEdgesEqual(serial_edges, folded, "folded vs serial");
+          ExpectEdgesEqual(GraphEdges(serial), folded, "folded vs serial");
+          ExpectSameStorage(serial, folded);
         }
         const int k = std::min(1 + static_cast<int>(rng.NextUint64(5)),
                                folded.num_candidates());
+        ExpectSameSolves(folded, raw, k, &rr_tally);
+      }
+    }
+  }
+  // The grid must actually produce duplicates on both sides, or the fold
+  // went untested.
+  EXPECT_LT(total_targets, total_pairs);
+  EXPECT_LT(total_classes, total_candidates);
+  RecordProperty("rr_solves", rr_tally.solves);
+  RecordProperty("rr_changed", rr_tally.changed);
+  std::printf("RR draws changed by the fold: %d of %d\n", rr_tally.changed,
+              rr_tally.solves);
+}
+
+/// One item whose sentences repeat `kinds` distinct pair sets round-robin,
+/// `copies` times each, one review per `per_review` sentences.
+Item RepeatedSentenceItem(
+    const std::vector<std::vector<ConceptSentimentPair>>& kinds, int copies,
+    int per_review) {
+  Item item;
+  item.id = "repeated";
+  int sentence = 0;
+  for (int c = 0; c < copies; ++c) {
+    for (size_t kind = 0; kind < kinds.size(); ++kind, ++sentence) {
+      if (sentence % per_review == 0) item.reviews.emplace_back();
+      item.reviews.back().sentences.push_back(
+          {"kind " + std::to_string(kind), kinds[kind]});
+    }
+  }
+  return item;
+}
+
+TEST(CoverageDiffTest, FoldedCandidatesOnHandBuiltItems) {
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId a = onto.AddConcept("a");
+  ConceptId b = onto.AddConcept("b");
+  ConceptId c = onto.AddConcept("c");
+  ASSERT_TRUE(onto.AddEdge(root, a).ok());
+  ASSERT_TRUE(onto.AddEdge(a, b).ok());
+  ASSERT_TRUE(onto.AddEdge(root, c).ok());
+  ASSERT_TRUE(onto.Finalize().ok());
+  PairDistance dist(&onto, 0.25);
+  struct Case {
+    const char* name;
+    Item item;
+  };
+  const Case cases[] = {
+      // Every sentence identical, a pair repeated inside it too.
+      {"identical", RepeatedSentenceItem({{{a, 0.5}, {b, 0.25}, {a, 0.5}}},
+                                         12, 3)},
+      // Three kinds of sentence, so k can exceed the class count; the
+      // third is the first's pairs reordered, the same class.
+      {"three kinds",
+       RepeatedSentenceItem(
+           {{{a, 0.5}, {c, -0.5}}, {{b, 0.25}}, {{c, -0.5}, {a, 0.5}}}, 5,
+           2)},
+  };
+  const SummaryGranularity granularities[] = {SummaryGranularity::kPairs,
+                                              SummaryGranularity::kSentences,
+                                              SummaryGranularity::kReviews};
+  for (const Case& test_case : cases) {
+    const std::vector<ConceptSentimentPair> pairs =
+        PairsOf(CollectPairs(test_case.item));
+    for (SummaryGranularity granularity : granularities) {
+      Result<ItemGraph> built =
+          TryBuildItemGraph(dist, test_case.item, granularity, {});
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const CoverageGraph& folded = built->graph;
+      const CoverageGraph raw =
+          granularity == SummaryGranularity::kPairs
+              ? CoverageGraph::BuildForPairs(dist, pairs)
+              : CoverageGraph::BuildForGroups(dist, pairs,
+                                              RunMembers(built->group_begin));
+      ExpectFoldOf(raw, pairs, folded);
+      ExpectClasses(folded, NaiveClasses(pairs, built->group_begin));
+      ASSERT_LT(folded.num_classes(), folded.num_candidates());
+      // Below, at and above the class count, up to every candidate: past
+      // the classes greedy picks zero-gain members in id order.
+      const int n = folded.num_candidates();
+      for (int k : {1, folded.num_classes(), folded.num_classes() + 1,
+                    std::min(n, folded.num_classes() + 3), n}) {
+        SCOPED_TRACE(std::string(test_case.name) + " " +
+                     SummaryGranularityToString(granularity) + " k=" +
+                     std::to_string(k));
         ExpectSameSolves(folded, raw, k);
       }
     }
   }
-  // The grid must actually produce duplicates, or the fold went untested.
-  EXPECT_LT(total_targets, total_pairs);
+  // The one-class item: one row stored, whatever the candidate count.
+  Result<ItemGraph> identical = TryBuildItemGraph(
+      dist, cases[0].item, SummaryGranularity::kSentences, {});
+  ASSERT_TRUE(identical.ok());
+  EXPECT_EQ(identical->graph.num_candidates(), 12);
+  EXPECT_EQ(identical->graph.num_classes(), 1);
+  EXPECT_EQ(identical->graph.num_edges(),
+            identical->graph.ClassLanesOf(0).size);
+}
+
+TEST(CoverageDiffTest, FoldedCandidatesOnDatagenCorpora) {
+  DoctorCorpusOptions doctor_options;
+  doctor_options.scale = 0.006;  // 6 doctors
+  doctor_options.ontology_concepts = 800;
+  CellPhoneCorpusOptions phone_options;
+  phone_options.scale = 0.1;  // 6 phones
+  const Corpus corpora[] = {GenerateDoctorCorpus(doctor_options),
+                            GenerateCellPhoneCorpus(phone_options)};
+  size_t total_candidates = 0, total_classes = 0;
+  RrTally rr_tally;
+  for (const Corpus& corpus : corpora) {
+    PairDistance dist(&corpus.ontology, 0.5);
+    const size_t num_items = std::min<size_t>(corpus.items.size(), 4);
+    for (size_t i = 0; i < num_items; ++i) {
+      const Item item = TruncateToPairBudget(corpus.items[i], 90);
+      const std::vector<ConceptSentimentPair> pairs =
+          PairsOf(CollectPairs(item));
+      for (SummaryGranularity granularity :
+           {SummaryGranularity::kPairs, SummaryGranularity::kSentences,
+            SummaryGranularity::kReviews}) {
+        SCOPED_TRACE(item.id + " " + SummaryGranularityToString(granularity));
+        Result<ItemGraph> built =
+            TryBuildItemGraph(dist, item, granularity, {});
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        const CoverageGraph& folded = built->graph;
+        if (folded.num_candidates() == 0) continue;
+        const CoverageGraph raw =
+            granularity == SummaryGranularity::kPairs
+                ? CoverageGraph::BuildForPairs(dist, pairs)
+                : CoverageGraph::BuildForGroups(
+                      dist, pairs, RunMembers(built->group_begin));
+        ExpectFoldOf(raw, pairs, folded);
+        ExpectClasses(folded, NaiveClasses(pairs, built->group_begin));
+        total_candidates += static_cast<size_t>(folded.num_candidates());
+        total_classes += static_cast<size_t>(folded.num_classes());
+        ExpectSameSolves(folded, raw, std::min(5, folded.num_candidates()),
+                         &rr_tally);
+      }
+    }
+  }
+  EXPECT_LT(total_classes, total_candidates);
+  std::printf("RR draws changed by the fold: %d of %d\n", rr_tally.changed,
+              rr_tally.solves);
+}
+
+TEST(CoverageDiffTest, WeightedBuildersRejectMismatchedTargetMap) {
+  Ontology onto;
+  ConceptId root = onto.AddConcept("root");
+  ConceptId a = onto.AddConcept("a");
+  ASSERT_TRUE(onto.AddEdge(root, a).ok());
+  ASSERT_TRUE(onto.Finalize().ok());
+  PairDistance dist(&onto, 0.5);
+  const std::vector<ConceptSentimentPair> pairs{{a, 0.5}, {a, -0.5}};
+  WeightedTargets short_map = FoldTargets(pairs);
+  short_map.target_of.pop_back();
+  WeightedTargets wrong_target = FoldTargets(pairs);
+  wrong_target.target_of = {1, 0};
+  WeightedTargets out_of_range = FoldTargets(pairs);
+  out_of_range.target_of = {0, 2};
+  for (const WeightedTargets& targets :
+       {short_map, wrong_target, out_of_range}) {
+    EXPECT_EQ(
+        CoverageGraph::TryBuildForPairsWeighted(dist, pairs, targets, {})
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(CoverageGraph::TryBuildForGroupsWeighted(
+                  dist, pairs, std::vector<int>{0, 1, 2}, targets, {})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(CoverageDiffTest, FoldedMemoryGateCountsFoldedEdges) {
@@ -766,7 +1065,7 @@ TEST(CoverageDiffTest, WeightedBuildersRejectMismatchedWeights) {
   ASSERT_TRUE(onto.Finalize().ok());
   PairDistance dist(&onto, 0.5);
   const std::vector<ConceptSentimentPair> pairs{{a, 0.5}, {a, 0.5}};
-  const WeightedTargets targets{{{a, 0.5}}, {1.0, 1.0}};
+  const WeightedTargets targets{{{a, 0.5}}, {1.0, 1.0}, {}};
   EXPECT_EQ(CoverageGraph::TryBuildForPairsWeighted(dist, pairs, targets, {})
                 .status()
                 .code(),

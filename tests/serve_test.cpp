@@ -22,6 +22,7 @@
 #include "common/strings.h"
 #include "core/model.h"
 #include "fault/failpoint.h"
+#include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "ontology/cellphone_hierarchy.h"
 #include "ontology/ontology.h"
@@ -480,6 +481,52 @@ TEST_F(ServeTest, SmallerKReadsCoalesceOntoADeeperFlight) {
   }
   EXPECT_EQ(server.counters().solves, 1);
   EXPECT_EQ(server.counters().coalesced, 2);
+}
+
+TEST_F(ServeTest, RegistryCountersAdvanceOncePerOutcome) {
+  // Each serve counter handle is resolved once per name; a miss that
+  // solves, a read coalesced onto its flight (it skips the cache, so it
+  // counts no miss) and a later hit must each still land on their own
+  // counter exactly once.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.SetEnabled(true);
+  const char* const names[] = {"osrs.serve.cache_miss", "osrs.serve.solves",
+                               "osrs.serve.cache_hit", "osrs.serve.coalesced"};
+  auto value = [&registry](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+  std::vector<int64_t> before;
+  for (const char* name : names) before.push_back(value(name));
+
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("osrs.serve.solve=delay(250):once")
+                  .ok());
+  ServeOptions options;
+  options.num_threads = 1;
+  SummaryServer server(&onto_, Items(1), options);
+  ServeRequest request;
+  request.item_id = "item0";
+  request.k = 2;
+  ServeRequest follower = request;
+  follower.bypass_cache = true;
+  ServeResponse missed;
+  std::thread leader([&server, &request, &missed] {
+    missed = server.Serve(request);
+  });
+  // The miss is admitted first and its solve holds the worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ServeResponse coalesced = server.Serve(follower);
+  leader.join();
+  ServeResponse hit = server.Serve(request);
+  registry.SetEnabled(was_enabled);
+
+  EXPECT_EQ(missed.outcome, ServeOutcome::kSolved);
+  EXPECT_EQ(coalesced.outcome, ServeOutcome::kCoalesced);
+  EXPECT_EQ(hit.outcome, ServeOutcome::kCacheHit);
+  for (size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(value(names[i]) - before[i], 1) << names[i];
+  }
 }
 
 TEST_F(ServeTest, TrajectoryDepthOnlyDeepens) {

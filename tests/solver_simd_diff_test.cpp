@@ -195,6 +195,70 @@ TEST_P(SolverSimdDiffTest, WeightedGraphsBitIdenticalAcrossBackends) {
   }
 }
 
+TEST_P(SolverSimdDiffTest, FoldedCandidatesMatchUnfoldedOnBothBackends) {
+  // The production builders fold equal candidates into one stored row;
+  // greedy keeps one heap entry per candidate, so on either backend every
+  // pick, per-pick cost and work counter must be the unfolded scalar
+  // run's. The pairs repeat once, so every run (two pairs each) and every
+  // pair has a twin.
+  std::vector<ConceptSentimentPair> pairs =
+      GridPairs(ontology_, GetParam() * 29 + 11, 60);
+  pairs.insert(pairs.end(), pairs.begin(), pairs.end());
+  std::vector<int> group_begin;
+  std::vector<std::vector<int>> groups;
+  for (int i = 0; i < static_cast<int>(pairs.size()); i += 2) {
+    group_begin.push_back(i);
+    groups.push_back({i, i + 1});
+  }
+  group_begin.push_back(static_cast<int>(pairs.size()));
+  PairDistance distance(&ontology_, /*epsilon=*/0.25);
+  const WeightedTargets targets = FoldTargets(pairs);
+  Result<CoverageGraph> folded_pairs = CoverageGraph::TryBuildForPairsWeighted(
+      distance, pairs, targets, CoverageBuildOptions{});
+  Result<CoverageGraph> folded_groups =
+      CoverageGraph::TryBuildForGroupsWeighted(distance, pairs, group_begin,
+                                               targets, CoverageBuildOptions{});
+  ASSERT_TRUE(folded_pairs.ok()) << folded_pairs.status().ToString();
+  ASSERT_TRUE(folded_groups.ok()) << folded_groups.status().ToString();
+  const std::pair<const CoverageGraph*, CoverageGraph> cases[] = {
+      {&*folded_pairs, CoverageGraph::BuildForPairs(distance, pairs)},
+      {&*folded_groups, CoverageGraph::BuildForGroups(distance, pairs, groups)},
+  };
+  GreedyOptions lazy;
+  lazy.heap = GreedyOptions::Heap::kLazy;
+  for (const auto& [folded, raw] : cases) {
+    ASSERT_EQ(folded->num_candidates(), raw.num_candidates());
+    ASSERT_LE(2 * folded->num_classes(), folded->num_candidates());
+    for (int k : {1, 4, 9, raw.num_candidates()}) {
+      std::vector<Result<SummaryResult>> expected;
+      {
+        ScopedBackend backend(simd::Backend::kScalar);
+        expected.push_back(GreedySummarizer().Summarize(raw, k));
+        expected.push_back(GreedySummarizer(lazy).Summarize(raw, k));
+        expected.push_back(LocalSearchSummarizer().Summarize(raw, k));
+      }
+      for (simd::Backend which :
+           {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+        ScopedBackend backend(which);
+        const Result<SummaryResult> actual[] = {
+            GreedySummarizer().Summarize(*folded, k),
+            GreedySummarizer(lazy).Summarize(*folded, k),
+            LocalSearchSummarizer().Summarize(*folded, k)};
+        for (size_t i = 0; i < expected.size(); ++i) {
+          SCOPED_TRACE(testing::Message()
+                       << "solver " << i << " k=" << k << " on "
+                       << simd::BackendName(backend.installed()));
+          ASSERT_TRUE(expected[i].ok() && actual[i].ok());
+          EXPECT_EQ(actual[i]->selected, expected[i]->selected);
+          EXPECT_EQ(actual[i]->cost, expected[i]->cost);
+          EXPECT_EQ(actual[i]->prefix_costs, expected[i]->prefix_costs);
+          EXPECT_EQ(actual[i]->work, expected[i]->work);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverSimdDiffTest,
                          testing::Values(1u, 7u, 23u, 61u));
 
