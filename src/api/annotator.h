@@ -1,6 +1,7 @@
 #ifndef OSRS_API_ANNOTATOR_H_
 #define OSRS_API_ANNOTATOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,12 @@ namespace osrs {
 /// paper does ("we compute the sentiment of the containing sentence and
 /// assign this sentiment to the concept").
 ///
-/// Each sentence is tokenized once (TokenizeViews, into per-thread
-/// buffers), and extraction and scoring read the same token views, so a
-/// const annotator can be shared by any number of threads.
+/// Review text is split into sentence views and each sentence is tokenized
+/// once (TokenizeViews). Each token is resolved by one probe of a
+/// per-thread memo to both its stem's automaton symbol and its lexicon
+/// row, and extraction and scoring run over those arrays. Every buffer is
+/// per thread and reused, so a const annotator can be shared by any number
+/// of threads.
 class ReviewAnnotator {
  public:
   /// `ontology` must outlive the annotator.
@@ -46,6 +50,12 @@ class ReviewAnnotator {
 
   DictionaryExtractor extractor_;
   SentimentEstimator estimator_;
+  /// Names this annotator's automaton in the per-thread token memo: a
+  /// process-wide count taken at construction and never reused, so the
+  /// memo entries of a destroyed annotator never answer for one built
+  /// later, at the same address or not. Copies keep it, as they hold the
+  /// same automaton.
+  uint64_t serial_;
 };
 
 }  // namespace osrs

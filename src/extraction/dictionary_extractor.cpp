@@ -1,6 +1,7 @@
 #include "extraction/dictionary_extractor.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "fault/failpoint.h"
@@ -8,6 +9,19 @@
 #include "text/tokenizer.h"
 
 namespace osrs {
+
+struct DictionaryExtractor::Scratch {
+  std::vector<int> symbols;
+  std::vector<TokenAhoCorasick::Match> matches;
+  std::vector<uint8_t> taken;  // per token: inside an accepted mention
+  std::vector<Mention> mentions;
+  std::vector<ConceptId> concepts;
+};
+
+DictionaryExtractor::Scratch& DictionaryExtractor::ScratchForThisThread() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 
 DictionaryExtractor::DictionaryExtractor(const Ontology* ontology)
     : ontology_(ontology) {
@@ -21,18 +35,25 @@ DictionaryExtractor::DictionaryExtractor(const Ontology* ontology)
   automaton_.Build();
 }
 
-std::vector<DictionaryExtractor::Mention> DictionaryExtractor::FindMentions(
-    std::span<const std::string_view> tokens) const {
+void DictionaryExtractor::ResolveTokens(
+    std::span<const std::string_view> tokens, Scratch& scratch) const {
   // Each stem is turned into its symbol at once: the memo's view of it
   // lasts only until the next Stem call.
   StemMemo& memo = StemMemo::ForThisThread();
-  std::vector<int> symbols;
-  symbols.reserve(tokens.size());
+  scratch.symbols.clear();
   for (std::string_view token : tokens) {
-    symbols.push_back(automaton_.SymbolOf(memo.Stem(token)));
+    scratch.symbols.push_back(automaton_.SymbolOf(memo.Stem(token)));
   }
-  std::vector<TokenAhoCorasick::Match> matches = automaton_.Find(symbols);
-  if (matches.empty()) return {};
+  Resolve(scratch.symbols, scratch);
+}
+
+void DictionaryExtractor::Resolve(std::span<const int> symbols,
+                                  Scratch& scratch) const {
+  std::vector<TokenAhoCorasick::Match>& matches = scratch.matches;
+  automaton_.Find(symbols, &matches);
+  scratch.mentions.clear();
+  scratch.concepts.clear();
+  if (matches.empty()) return;
   // Longest-span-first resolution; ties to the leftmost, then the smaller
   // concept id for determinism.
   std::sort(matches.begin(), matches.end(),
@@ -44,35 +65,41 @@ std::vector<DictionaryExtractor::Mention> DictionaryExtractor::FindMentions(
               if (a.begin != b.begin) return a.begin < b.begin;
               return a.payload < b.payload;
             });
-  std::vector<bool> taken(tokens.size(), false);
-  std::vector<Mention> mentions;
+  scratch.taken.assign(symbols.size(), 0);
   for (const auto& match : matches) {
     bool overlaps = false;
     for (size_t i = match.begin; i < match.end; ++i) {
-      overlaps |= taken[i];
+      overlaps |= scratch.taken[i] != 0;
     }
     if (overlaps) continue;
-    for (size_t i = match.begin; i < match.end; ++i) taken[i] = true;
-    mentions.push_back(
+    for (size_t i = match.begin; i < match.end; ++i) scratch.taken[i] = 1;
+    scratch.mentions.push_back(
         {static_cast<ConceptId>(match.payload), match.begin, match.end});
   }
-  std::sort(mentions.begin(), mentions.end(),
+  std::sort(scratch.mentions.begin(), scratch.mentions.end(),
             [](const Mention& a, const Mention& b) {
               return a.begin < b.begin;
             });
-  return mentions;
+  for (const Mention& mention : scratch.mentions) {
+    if (std::find(scratch.concepts.begin(), scratch.concepts.end(),
+                  mention.concept_id) == scratch.concepts.end()) {
+      scratch.concepts.push_back(mention.concept_id);
+    }
+  }
+}
+
+std::vector<DictionaryExtractor::Mention> DictionaryExtractor::FindMentions(
+    std::span<const std::string_view> tokens) const {
+  Scratch& scratch = ScratchForThisThread();
+  ResolveTokens(tokens, scratch);
+  return scratch.mentions;
 }
 
 std::vector<ConceptId> DictionaryExtractor::ExtractConcepts(
     std::span<const std::string_view> tokens) const {
-  std::vector<ConceptId> concepts;
-  for (const Mention& mention : FindMentions(tokens)) {
-    if (std::find(concepts.begin(), concepts.end(), mention.concept_id) ==
-        concepts.end()) {
-      concepts.push_back(mention.concept_id);
-    }
-  }
-  return concepts;
+  Scratch& scratch = ScratchForThisThread();
+  ResolveTokens(tokens, scratch);
+  return scratch.concepts;
 }
 
 Result<std::vector<ConceptId>> DictionaryExtractor::TryExtractConcepts(
@@ -84,6 +111,14 @@ Result<std::vector<ConceptId>> DictionaryExtractor::TryExtractConcepts(
 Result<std::vector<ConceptId>> DictionaryExtractor::TryExtractConcepts(
     const std::vector<std::string>& tokens) const {
   return TryExtractConcepts(AsViews(tokens));
+}
+
+Result<std::span<const ConceptId>> DictionaryExtractor::TryExtractFromSymbols(
+    std::span<const int> symbols) const {
+  OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.extraction.pairs"));
+  Scratch& scratch = ScratchForThisThread();
+  Resolve(symbols, scratch);
+  return std::span<const ConceptId>(scratch.concepts);
 }
 
 }  // namespace osrs

@@ -49,25 +49,37 @@ SentimentEstimator SentimentEstimator::LexiconOnly() {
 }
 
 Result<double> SentimentEstimator::TryScoreSentence(
+    std::span<const SentimentLexicon::Row* const> rows,
     std::span<const std::string_view> tokens) const {
   OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.sentiment.score"));
-  return ScoreSentence(tokens);
+  return ScoreSentence(rows, tokens);
 }
 
 Result<double> SentimentEstimator::TryScoreSentence(
     const std::vector<std::string>& tokens) const {
-  return TryScoreSentence(AsViews(tokens));
+  OSRS_RETURN_IF_ERROR(OSRS_FAILPOINT("osrs.sentiment.score"));
+  return ScoreSentence(AsViews(tokens));
 }
 
 double SentimentEstimator::ScoreSentence(
     std::span<const std::string_view> tokens) const {
-  double lexicon = SentimentLexicon::Default().ScoreSentence(tokens);
+  return Blend(lexicon().ScoreSentence(tokens), tokens);
+}
+
+double SentimentEstimator::ScoreSentence(
+    std::span<const SentimentLexicon::Row* const> rows,
+    std::span<const std::string_view> tokens) const {
+  return Blend(lexicon().ScoreRows(rows), tokens);
+}
+
+double SentimentEstimator::Blend(
+    double lexicon_score, std::span<const std::string_view> tokens) const {
   if (regression_ == nullptr || lexicon_weight_ >= 1.0) {
-    return Clamp(lexicon, -1.0, 1.0);
+    return Clamp(lexicon_score, -1.0, 1.0);
   }
   double regression =
       regression_->Predict(embeddings_->SentenceVector(tokens));
-  return Clamp(lexicon_weight_ * lexicon +
+  return Clamp(lexicon_weight_ * lexicon_score +
                    (1.0 - lexicon_weight_) * regression,
                -1.0, 1.0);
 }

@@ -42,17 +42,31 @@ class SentimentEstimator {
   /// A lexicon-only estimator (no training corpus required).
   static SentimentEstimator LexiconOnly();
 
+  /// The lexicon the estimator scores with.
+  const SentimentLexicon& lexicon() const {
+    return SentimentLexicon::Default();
+  }
+
   /// Sentiment of a tokenized sentence, clamped to [-1, 1]. The lexicon and
   /// the embeddings read the same token views.
   double ScoreSentence(std::span<const std::string_view> tokens) const;
 
-  /// ScoreSentence behind the "osrs.sentiment.score" failpoint — the
-  /// variant serve-time annotation calls so the chaos suite can fail or
-  /// stall scoring like any other phase a live request crosses. Scoring
-  /// itself cannot fail, so the only non-OK outcomes are injected ones.
+  /// ScoreSentence with each token's lexicon row already looked up:
+  /// `rows[i]` is `&lexicon().RowOf(tokens[i])`. The lexicon scores the
+  /// rows; the embeddings read the tokens.
+  double ScoreSentence(std::span<const SentimentLexicon::Row* const> rows,
+                       std::span<const std::string_view> tokens) const;
+
+  /// ScoreSentence over rows and tokens behind the "osrs.sentiment.score"
+  /// failpoint — the variant serve-time annotation calls so the chaos suite
+  /// can fail or stall scoring like any other phase a live request
+  /// crosses. Scoring itself cannot fail, so the only non-OK outcomes are
+  /// injected ones.
   Result<double> TryScoreSentence(
+      std::span<const SentimentLexicon::Row* const> rows,
       std::span<const std::string_view> tokens) const;
-  /// TryScoreSentence over a Tokenize result, for perfbench's traced walk.
+  /// ScoreSentence of a Tokenize result behind the same failpoint, for
+  /// perfbench's traced walk.
   Result<double> TryScoreSentence(
       const std::vector<std::string>& tokens) const;
 
@@ -60,6 +74,12 @@ class SentimentEstimator {
 
  private:
   SentimentEstimator() = default;
+
+  /// The estimate for a sentence whose lexicon score is `lexicon_score`:
+  /// the regression on the tokens' embedding blended in, clamped to
+  /// [-1, 1].
+  double Blend(double lexicon_score,
+               std::span<const std::string_view> tokens) const;
 
   double lexicon_weight_ = 1.0;
   std::shared_ptr<const CooccurrenceEmbeddings> embeddings_;

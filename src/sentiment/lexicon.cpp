@@ -10,13 +10,9 @@
 namespace osrs {
 namespace {
 
-/// What the lexicon knows about one word; a word it does not list reads as
-/// kUnlisted.
-struct Row {
-  double strength = 0.0;  // opinion strength; 0 for non-opinion words
-  double factor = 1.0;    // intensity multiplier; 1 for non-modifiers
-  bool negator = false;
-};
+using Row = SentimentLexicon::Row;
+
+/// The row of every word the lexicon does not list.
 constexpr Row kUnlisted{};
 
 }  // namespace
@@ -162,31 +158,41 @@ bool SentimentLexicon::IsNegator(std::string_view word) const {
   return tables_->RowOf(word).negator;
 }
 
+const Row& SentimentLexicon::RowOf(std::string_view word) const {
+  return tables_->RowOf(word);
+}
+
 double SentimentLexicon::ScoreSentence(
     std::span<const std::string_view> tokens) const {
+  thread_local std::vector<const Row*> rows;
+  rows.clear();
+  for (std::string_view token : tokens) rows.push_back(&tables_->RowOf(token));
+  return ScoreRows(rows);
+}
+
+double SentimentLexicon::ScoreRows(std::span<const Row* const> rows) const {
   double total = 0.0;
   int hits = 0;
   // Rows of the three preceding tokens, nearest first. Positions before the
   // sentence start read as unlisted: a factor of exactly 1 leaves the
   // product bit for bit as it was.
   const Row* previous[3] = {&kUnlisted, &kUnlisted, &kUnlisted};
-  for (std::string_view token : tokens) {
-    const Row& row = tables_->RowOf(token);
-    if (row.strength != 0.0) {
+  for (const Row* row : rows) {
+    if (row->strength != 0.0) {
       double factor = 1.0;
       bool negated = false;
       for (const Row* prev : previous) {
         factor *= prev->factor;
         if (prev->negator) negated = !negated;
       }
-      double contribution = row.strength * factor;
+      double contribution = row->strength * factor;
       if (negated) contribution *= -0.8;  // "not great" is mildly negative
       total += contribution;
       ++hits;
     }
     previous[2] = previous[1];
     previous[1] = previous[0];
-    previous[0] = &row;
+    previous[0] = row;
   }
   if (hits == 0) return 0.0;
   return Clamp(total / static_cast<double>(hits), -1.0, 1.0);

@@ -32,12 +32,27 @@ class SentimentLexicon {
   /// True for negation words ("not", "never", "no", "n't", ...).
   bool IsNegator(std::string_view word) const;
 
+  /// What the lexicon knows about one word.
+  struct Row {
+    double strength = 0.0;  // opinion strength; 0 for non-opinion words
+    double factor = 1.0;    // intensity multiplier; 1 for non-modifiers
+    bool negator = false;
+  };
+
+  /// The row of `word`, valid as long as the lexicon; every word the
+  /// lexicon does not list shares one row of {0, 1, false}.
+  const Row& RowOf(std::string_view word) const;
+
   /// Sentence score in [-1, 1]: each opinion word contributes its strength,
   /// scaled by intensity modifiers and flipped (damped by 0.8) by negators
   /// in the three preceding tokens; contributions are averaged and clamped.
-  /// Returns 0 for sentences with no opinion words. Each token's row
-  /// (strength, factor, negator) is looked up once, by view.
+  /// Returns 0 for sentences with no opinion words. Looks each token's row
+  /// up once, by view, and scores the rows with ScoreRows.
   double ScoreSentence(std::span<const std::string_view> tokens) const;
+
+  /// The one scoring loop: ScoreSentence of the sentence whose tokens have
+  /// these rows (RowOf of this lexicon), in order.
+  double ScoreRows(std::span<const Row* const> rows) const;
 
   /// Every opinion word with its strength (for Double Propagation seeds).
   std::vector<std::pair<std::string, double>> AllOpinionWords() const;

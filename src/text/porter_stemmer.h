@@ -17,16 +17,16 @@ namespace osrs {
 /// returned unchanged, as in the original algorithm.
 std::string PorterStem(std::string_view word);
 
-/// A direct-mapped memo in front of PorterStem for the annotation hot path,
-/// where review text repeats a small vocabulary: each word hashes to one of
-/// kSlots slots holding one (word, stem) pair, and a word whose slot holds
-/// another word is stemmed and takes the slot over. Words longer than
-/// kMaxWordLength bypass the memo, so it stays at kSlots short entries
-/// whatever the vocabulary of the input.
+/// A direct-mapped memo in front of PorterStem for the token-view queries
+/// of the extraction layer, where review text repeats a small vocabulary:
+/// each word hashes to one of kSlots slots holding one (word, stem) pair,
+/// and a word whose slot holds another word is stemmed and takes the slot
+/// over. Words longer than kMaxWordLength bypass the memo, so it stays at
+/// kSlots short entries whatever the vocabulary of the input.
 ///
 /// PorterStem is a pure function, so a memo's answers never depend on who
-/// filled it: one memo per thread serves every annotator on that thread,
-/// and the annotation path reads it without a lock.
+/// filled it: one memo per thread serves every extractor on that thread
+/// without a lock.
 class StemMemo {
  public:
   static constexpr size_t kSlots = 4096;

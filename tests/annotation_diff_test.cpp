@@ -11,6 +11,8 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "core/model.h"
 #include "datagen/cellphone_corpus.h"
 #include "datagen/doctor_corpus.h"
+#include "extraction/dictionary_extractor.h"
 #include "ontology/cellphone_hierarchy.h"
 #include "sentiment/estimator.h"
 #include "sentiment/lexicon.h"
@@ -183,9 +186,23 @@ int AnnotateAndCompare(const ReviewAnnotator& annotator,
   return mismatches;
 }
 
-/// Checks every item of `corpus` against the reference, with review texts
-/// built as perfbench's ingest workloads build them: the generated
-/// sentences, each followed by '.', joined by spaces.
+/// Review texts of `item` built as perfbench's ingest workloads build them:
+/// the generated sentences, each followed by '.', joined by spaces.
+std::vector<std::string> ReviewTexts(const Item& item) {
+  std::vector<std::string> texts;
+  for (const Review& review : item.reviews) {
+    std::string text;
+    for (const Sentence& sentence : review.sentences) {
+      if (!text.empty()) text += ' ';
+      text += sentence.text;
+      text += '.';
+    }
+    texts.push_back(std::move(text));
+  }
+  return texts;
+}
+
+/// Checks every item of `corpus` against the reference.
 PairDigest CheckCorpus(const Corpus& corpus) {
   ReviewAnnotator annotator(&corpus.ontology,
                             SentimentEstimator::LexiconOnly());
@@ -193,18 +210,8 @@ PairDigest CheckCorpus(const Corpus& corpus) {
   PairDigest digest;
   int mismatches = 0;
   for (const Item& item : corpus.items) {
-    std::vector<std::string> texts;
-    for (const Review& review : item.reviews) {
-      std::string text;
-      for (const Sentence& sentence : review.sentences) {
-        if (!text.empty()) text += ' ';
-        text += sentence.text;
-        text += '.';
-      }
-      texts.push_back(std::move(text));
-    }
-    mismatches += AnnotateAndCompare(annotator, reference, item.id, texts,
-                                     &digest);
+    mismatches += AnnotateAndCompare(annotator, reference, item.id,
+                                     ReviewTexts(item), &digest);
   }
   EXPECT_EQ(mismatches, 0);
   return digest;
@@ -297,6 +304,227 @@ TEST(AnnotationDiffTest, FuzzedTextMatchesReferenceAndKnownDigest) {
   EXPECT_EQ(mismatches, 0);
   EXPECT_EQ(digest.pairs, 25197u);
   EXPECT_EQ(digest.hash, 0x68661E5B7345D0D2ULL);
+}
+
+/// Small corpora over two different ontologies, and the review texts of
+/// their items interleaved: doctor item 0, phone item 0, doctor item 1, ...
+struct TwoOntologies {
+  Corpus doctor;
+  Corpus phone;
+  std::vector<std::vector<std::string>> items;
+};
+
+TwoOntologies MakeTwoOntologies() {
+  DoctorCorpusOptions doctor_options;
+  doctor_options.scale = 0.02;
+  doctor_options.seed = 42;
+  CellPhoneCorpusOptions phone_options;
+  phone_options.scale = 0.01;
+  phone_options.seed = 43;
+  TwoOntologies two{GenerateDoctorCorpus(doctor_options),
+                    GenerateCellPhoneCorpus(phone_options),
+                    {}};
+  const size_t n = std::max(two.doctor.items.size(), two.phone.items.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (i < two.doctor.items.size()) {
+      two.items.push_back(ReviewTexts(two.doctor.items[i]));
+    }
+    if (i < two.phone.items.size()) {
+      two.items.push_back(ReviewTexts(two.phone.items[i]));
+    }
+  }
+  return two;
+}
+
+// The token memo is per thread, and its entries name the annotator that
+// filled them: two annotators over different ontologies, alternating on
+// one thread over the same texts, each give their own reference's pairs.
+TEST(AnnotationDiffTest, AlternatingAnnotatorsOnOneThreadMatchReferences) {
+  const TwoOntologies two = MakeTwoOntologies();
+  const ReviewAnnotator doctor_annotator(&two.doctor.ontology,
+                                         SentimentEstimator::LexiconOnly());
+  const ReviewAnnotator phone_annotator(&two.phone.ontology,
+                                        SentimentEstimator::LexiconOnly());
+  const ReferenceAnnotator doctor_reference(two.doctor.ontology);
+  const ReferenceAnnotator phone_reference(two.phone.ontology);
+  PairDigest doctor_digest;
+  PairDigest phone_digest;
+  int mismatches = 0;
+  for (const std::vector<std::string>& texts : two.items) {
+    mismatches += AnnotateAndCompare(doctor_annotator, doctor_reference,
+                                     "doctor", texts, &doctor_digest);
+    mismatches += AnnotateAndCompare(phone_annotator, phone_reference,
+                                     "phone", texts, &phone_digest);
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(doctor_digest.pairs, 1000u);
+  EXPECT_GT(phone_digest.pairs, 1000u);
+}
+
+// A destroyed annotator's memo entries never answer for the next one, even
+// one built where it lived: each replacement is over the other ontology.
+TEST(AnnotationDiffTest, ReplacedAnnotatorMatchesItsReference) {
+  const TwoOntologies two = MakeTwoOntologies();
+  const ReferenceAnnotator doctor_reference(two.doctor.ontology);
+  const ReferenceAnnotator phone_reference(two.phone.ontology);
+  int mismatches = 0;
+  for (int round = 0; round < 4; ++round) {
+    const bool doctor = round % 2 == 0;
+    auto annotator = std::make_unique<ReviewAnnotator>(
+        doctor ? &two.doctor.ontology : &two.phone.ontology,
+        SentimentEstimator::LexiconOnly());
+    PairDigest digest;
+    for (const std::vector<std::string>& texts : two.items) {
+      mismatches += AnnotateAndCompare(
+          *annotator, doctor ? doctor_reference : phone_reference, "item",
+          texts, &digest);
+    }
+    EXPECT_GT(digest.pairs, 1000u);
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// More distinct words than the memo's 4,096 slots, among term and opinion
+// words, and words of exactly 23 bytes (the longest the memo keeps) and 24
+// bytes (the shortest that bypasses it) between them.
+TEST(AnnotationDiffTest, OpenVocabularyAndLongWordsMatchReference) {
+  constexpr size_t kMemoSlots = 4096;
+  Ontology ontology = BuildCellPhoneHierarchy();
+  std::vector<std::string> words;
+  for (const auto& [term, concept_id] : ontology.term_lexicon()) {
+    for (std::string& token : Tokenize(term)) words.push_back(token);
+  }
+  for (const auto& [word, strength] :
+       SentimentLexicon::Default().AllOpinionWords()) {
+    words.push_back(word);
+  }
+  for (const char* word : {"not", "very", "never", "slightly"}) {
+    words.push_back(word);
+  }
+  words.push_back(std::string(23, 'q'));
+  words.push_back(std::string(24, 'q'));
+  Rng rng(20262);
+  auto random_word = [&](uint64_t length) {
+    std::string word;
+    for (uint64_t c = 0; c < length; ++c) {
+      word += static_cast<char>('a' + rng.NextUint64(26));
+    }
+    return word;
+  };
+  std::vector<std::vector<std::string>> items(1);
+  for (int r = 0; r < 1000; ++r) {
+    std::string text;
+    for (int t = 0; t < 40; ++t) {
+      const uint64_t kind = rng.NextUint64(6);
+      if (kind == 0) {
+        text += random_word(4 + rng.NextUint64(9));
+      } else if (kind == 1) {
+        text += random_word(23 + rng.NextUint64(2));
+      } else {
+        text += words[rng.NextUint64(words.size())];
+      }
+      text += rng.NextUint64(8) == 0 ? ". " : " ";
+    }
+    if (items.back().size() == 50) items.emplace_back();
+    items.back().push_back(std::move(text));
+  }
+  std::set<std::string> distinct;
+  for (const auto& texts : items) {
+    for (const std::string& text : texts) {
+      for (std::string& token : Tokenize(text)) distinct.insert(token);
+    }
+  }
+  EXPECT_GT(distinct.size(), 2 * kMemoSlots);
+
+  const ReviewAnnotator annotator(&ontology,
+                                  SentimentEstimator::LexiconOnly());
+  const ReferenceAnnotator reference(ontology);
+  PairDigest digest;
+  int mismatches = 0;
+  for (const std::vector<std::string>& texts : items) {
+    mismatches +=
+        AnnotateAndCompare(annotator, reference, "vocab", texts, &digest);
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(digest.pairs, 1000u);
+}
+
+// A trained estimator blends its regression into each score: AnnotateTexts
+// gives, bit for bit, the pairs of the layer-by-layer route perfbench's
+// traced walk takes (SplitSentences, Tokenize, TryExtractConcepts,
+// TryScoreSentence) on the phone corpus.
+TEST(AnnotationDiffTest, TrainedEstimatorMatchesLayerByLayerRoute) {
+  CellPhoneCorpusOptions options;
+  options.scale = 0.05;
+  options.seed = 43;
+  const Corpus corpus = GenerateCellPhoneCorpus(options);
+  // Weak supervision, as sentiment_test trains: tokenized sentences
+  // labeled with their review's rating.
+  std::vector<std::vector<std::string>> training;
+  std::vector<double> ratings;
+  for (const Item& item : corpus.items) {
+    for (const Review& review : item.reviews) {
+      for (const Sentence& sentence : review.sentences) {
+        if (training.size() == 4000) break;
+        training.push_back(Tokenize(sentence.text));
+        ratings.push_back(review.rating);
+      }
+    }
+  }
+  SentimentEstimatorOptions estimator_options;
+  estimator_options.embedding.dimensions = 12;
+  Result<SentimentEstimator> estimator =
+      SentimentEstimator::Train(training, ratings, estimator_options);
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  ASSERT_TRUE(estimator->has_regression());
+
+  const ReviewAnnotator annotator(&corpus.ontology, *estimator);
+  const DictionaryExtractor extractor(&corpus.ontology);
+  const SentimentEstimator lexicon_only = SentimentEstimator::LexiconOnly();
+  size_t pairs = 0;
+  size_t blended = 0;  // scored sentences the regression moved
+  int mismatches = 0;
+  for (const Item& item : corpus.items) {
+    const std::vector<std::string> texts = ReviewTexts(item);
+    Result<Item> annotated = annotator.AnnotateTexts(item.id, texts, {});
+    ASSERT_TRUE(annotated.ok()) << annotated.status().ToString();
+    for (size_t r = 0; r < texts.size(); ++r) {
+      const std::vector<std::string> sentences = SplitSentences(texts[r]);
+      const std::vector<Sentence>& actual = annotated->reviews[r].sentences;
+      ASSERT_EQ(actual.size(), sentences.size());
+      for (size_t s = 0; s < sentences.size(); ++s) {
+        const std::vector<std::string> tokens = Tokenize(sentences[s]);
+        Result<std::vector<ConceptId>> concepts =
+            extractor.TryExtractConcepts(tokens);
+        ASSERT_TRUE(concepts.ok());
+        std::vector<ConceptSentimentPair> expected;
+        if (!concepts->empty()) {
+          Result<double> sentiment = estimator->TryScoreSentence(tokens);
+          ASSERT_TRUE(sentiment.ok());
+          for (ConceptId concept_id : *concepts) {
+            expected.push_back({concept_id, *sentiment});
+          }
+          blended += std::bit_cast<uint64_t>(*sentiment) !=
+                     std::bit_cast<uint64_t>(
+                         lexicon_only.ScoreSentence(AsViews(tokens)));
+        }
+        bool same = expected.size() == actual[s].pairs.size();
+        for (size_t p = 0; same && p < expected.size(); ++p) {
+          same = expected[p].concept_id == actual[s].pairs[p].concept_id &&
+                 std::bit_cast<uint64_t>(expected[p].sentiment) ==
+                     std::bit_cast<uint64_t>(actual[s].pairs[p].sentiment);
+        }
+        if (!same && ++mismatches <= 5) {
+          ADD_FAILURE() << "pairs differ from the layer route in \""
+                        << sentences[s] << "\"";
+        }
+        pairs += expected.size();
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(pairs, 1000u);
+  EXPECT_GT(blended, 1000u);
 }
 
 }  // namespace

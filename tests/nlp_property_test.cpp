@@ -28,7 +28,9 @@ std::vector<TokenAhoCorasick::Match> FindTokens(
     const TokenAhoCorasick& ac, const std::vector<std::string>& tokens) {
   std::vector<int> symbols;
   for (const std::string& token : tokens) symbols.push_back(ac.SymbolOf(token));
-  return ac.Find(symbols);
+  std::vector<TokenAhoCorasick::Match> matches;
+  ac.Find(symbols, &matches);
+  return matches;
 }
 
 /// Reference matcher: try every pattern at every position.

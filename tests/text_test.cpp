@@ -1,9 +1,11 @@
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 
 #include "text/porter_stemmer.h"
 #include "text/sentence_splitter.h"
@@ -88,6 +90,85 @@ TEST(SentenceSplitterTest, TrailingTextWithoutTerminator) {
 TEST(SentenceSplitterTest, EmptyInput) {
   EXPECT_TRUE(SplitSentences("").empty());
   EXPECT_TRUE(SplitSentences("   \n ").empty());
+}
+
+/// SplitSentences with the abbreviation check unbounded: at every period it
+/// takes the whole run of letters and periods before it as the word.
+std::vector<std::string> UnboundedSplitSentences(std::string_view text) {
+  static const char* const kAbbreviations[] = {
+      "dr", "mr", "mrs", "ms", "prof", "vs", "etc", "e.g", "i.e", "st", "jr",
+      "approx"};
+  auto is_word_byte = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '.';
+  };
+  auto ends_with_abbreviation = [&](size_t period_pos) {
+    size_t start = period_pos;
+    while (start > 0 && is_word_byte(text[start - 1])) --start;
+    const std::string word = ToLower(text.substr(start, period_pos - start));
+    if (word.size() == 1) return true;
+    for (const char* abbr : kAbbreviations) {
+      if (word == abbr) return true;
+    }
+    return false;
+  };
+  auto is_terminator = [](char c) { return c == '.' || c == '!' || c == '?'; };
+  std::vector<std::string> sentences;
+  auto emit = [&](size_t begin, size_t end) {
+    std::string_view trimmed = Trim(text.substr(begin, end - begin));
+    if (!trimmed.empty()) sentences.emplace_back(trimmed);
+  };
+  size_t begin = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '\n' || c == '!' || c == '?' ||
+        (c == '.' && !ends_with_abbreviation(i))) {
+      emit(begin, i);
+      while (i + 1 < text.size() && is_terminator(text[i + 1])) ++i;
+      begin = i + 1;
+    }
+  }
+  emit(begin, text.size());
+  return sentences;
+}
+
+// Random strings over letters, abbreviations, terminators, spaces and
+// newlines split as the unbounded check splits them, and the views variant
+// returns the same sentences.
+TEST(SentenceSplitterTest, BoundedAbbreviationScanSplitsAsUnbounded) {
+  static const char* const kPieces[] = {
+      "a", "b", "e", "g", "i", "D", "r", "M", "s", "t", "v", "x", "P", "o",
+      "f", "J", "c", "p", "dr", "Mrs", "e.g", "i.e", "approx", "etc", "st",
+      "approxx", ".", ".", ".", "!", "?", " ", " ", "\n"};
+  const size_t num_pieces = sizeof(kPieces) / sizeof(kPieces[0]);
+  Rng rng(20261);
+  std::vector<std::string_view> views;
+  for (int n = 0; n < 20000; ++n) {
+    std::string text;
+    const uint64_t length = rng.NextUint64(48);
+    for (uint64_t i = 0; i < length; ++i) {
+      text += kPieces[rng.NextUint64(num_pieces)];
+    }
+    const std::vector<std::string> expected = UnboundedSplitSentences(text);
+    ASSERT_EQ(SplitSentences(text), expected) << "\"" << text << "\"";
+    SplitSentenceViews(text, &views);
+    ASSERT_EQ(std::vector<std::string>(views.begin(), views.end()), expected)
+        << "\"" << text << "\"";
+  }
+}
+
+// 4 MiB of "ab.": every period ends a sentence, and each split looks back
+// a bounded number of bytes. With the scan unbounded this input takes time
+// quadratic in its length (an estimated 85 minutes).
+TEST(SentenceSplitterTest, LetterPeriodRunSplitsInLinearTime) {
+  const size_t repeats = (size_t{4} << 20) / 3;
+  std::string text;
+  text.reserve(repeats * 3);
+  for (size_t i = 0; i < repeats; ++i) text += "ab.";
+  std::vector<std::string_view> sentences;
+  SplitSentenceViews(text, &sentences);
+  ASSERT_EQ(sentences.size(), repeats);
+  EXPECT_EQ(sentences.front(), "ab");
+  EXPECT_EQ(sentences.back(), "ab");
 }
 
 // ------------------------------------------------------------------ Porter
